@@ -1,4 +1,4 @@
-.PHONY: all build test faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke cli-smoke alloc-smoke bench-json bench-json-fast bench-gate ci clean
+.PHONY: all build test faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke cli-smoke digest-smoke alloc-smoke bench-json bench-json-fast bench-gate ci clean
 
 all: build
 
@@ -129,10 +129,42 @@ monitor-smoke: build
 # parse errors — NOT cmdliner's default 124, which collides with
 # timeout(1)'s kill status and made parse errors read as hangs
 # (ROADMAP: "CLI parse-error hang").
+#
+# The common flags must parse on every subcommand.  Each probe appends
+# `--jobs 0`, which the engine set-up refuses with its own message and
+# exit 2 before any work starts; cmdliner only runs that set-up once it
+# has accepted every other flag, so the message proves the flag under
+# test was accepted (the empty probe covers `--jobs` itself).
+CLI_SUBCOMMANDS := fig7 fig8 fig9 fig10 fig11 fig12 security compare ablations \
+  calibrate lot onchip aging faults avalanche generality profile all
+
 cli-smoke: build
 	timeout 10 ./_build/default/bin/repro.exe nosuchcmd > /dev/null 2>&1; test $$? -eq 2
 	timeout 10 ./_build/default/bin/repro.exe fig7 --no-such-flag > /dev/null 2>&1; test $$? -eq 2
 	timeout 10 ./_build/default/bin/repro.exe --help > /dev/null 2>&1; test $$? -eq 0
+	for cmd in $(CLI_SUBCOMMANDS); do \
+	  for flag in --fast "--seed 7" "--standard bluetooth" ""; do \
+	    timeout 10 ./_build/default/bin/repro.exe $$cmd $$flag --jobs 0 > /dev/null 2> /tmp/cli-smoke.err; \
+	    status=$$?; \
+	    if [ $$status -ne 2 ] || ! grep -q -e '--jobs must be >= 1' /tmp/cli-smoke.err; then \
+	      echo "repro $$cmd does not accept '$$flag --jobs' (exit $$status):"; \
+	      cat /tmp/cli-smoke.err; exit 1; \
+	    fi; \
+	  done; \
+	done
+
+# The whole reproduction, pinned: `repro all --fast` must print exactly
+# the committed digest at --jobs 1 and at --jobs 2.  This covers the
+# fan-outs that sched-smoke does not run, such as the lot study's die
+# calibrations over map_jobs.  A deliberate output change updates
+# REPRO_DIGEST in the same commit.
+REPRO_DIGEST := bc49309000a4f2d39da93c2404c50673
+
+digest-smoke: build
+	./_build/default/bin/repro.exe all --fast --jobs 1 > /tmp/digest-jobs1.out
+	test "$$(md5sum < /tmp/digest-jobs1.out | cut -d' ' -f1)" = "$(REPRO_DIGEST)"
+	./_build/default/bin/repro.exe all --fast --jobs 2 > /tmp/digest-jobs2.out
+	test "$$(md5sum < /tmp/digest-jobs2.out | cut -d' ' -f1)" = "$(REPRO_DIGEST)"
 
 # Steady-state allocation contract (DESIGN §15): the arena-converted
 # kernels carry absolute minor-words budgets (lib/benchkit alloc
@@ -163,7 +195,7 @@ bench-gate:
 	dune exec bench/main.exe -- --quick --fast --json \
 	  --out /tmp/bench-gate.json --compare BENCH_4.json
 
-ci: build test cli-smoke faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke alloc-smoke bench-gate
+ci: build test cli-smoke faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke digest-smoke monitor-smoke alloc-smoke bench-gate
 
 clean:
 	dune clean

@@ -186,10 +186,10 @@ let bench_pool_steal () =
    batch — against engine:batch8-1domain the difference is the
    streaming layer's own tax (ticket, completion queue, per-item
    delivery) now that the submit barrier is gone.  [pool:wakeup-capped]
-   times a default-chunk submit small enough that the wakeup budget
-   engages a single lane: the eager workers stay parked, so the figure
-   is the cost of posting and completing a batch without poking any
-   sleeping domain. *)
+   times a default-chunk submit of items the pool has measured as far
+   cheaper than a wakeup, so it engages a single lane: the eager
+   workers stay parked, and the figure is the cost of posting and
+   completing a batch without poking any sleeping domain. *)
 let bench_engine_stream () =
   let stream =
     Engine.Service.eval_stream ~engine:(Lazy.force engine_uncached) (Lazy.force engine_batch)
@@ -199,8 +199,10 @@ let bench_engine_stream () =
   | Error _ -> assert false (* no per-stream deadline is attached here *)
 
 let bench_pool_wakeup_capped () =
-  (* 8 no-op items under the default layout: ⌈8 / max_chunk⌉ = 1 lane
-     engaged, three eager workers left asleep. *)
+  (* 8 no-op items under the default layout: the no-op runs of
+     [pool:steal] before it gave the pool a per-item mean of tens of ns,
+     so 8 items are far below one wakeup's worth — one lane engaged, three
+     eager workers left asleep. *)
   Engine.Pool.run (Lazy.force steal_pool) (fun _ -> ()) 8
 
 (* TELEMETRY kernels: the instrumentation's own cost.  The disabled

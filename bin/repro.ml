@@ -281,12 +281,14 @@ let lot () _fast seed standard =
   Printf.printf "calibrating an 8-die lot (seed base %d) ...\n%!" seed;
   Experiments.Lot_study.print (Experiments.Lot_study.run ~seed_base:seed standard_t)
 
-let faults () seed standard dies json interrupt_after =
+let faults () _fast seed standard dies json interrupt_after =
   (* The campaign layer is exception-free by construction: every
      failure mode comes back as data — degraded calibrations print and
      exit 0, a deadline returns a typed error (exit 3), and an
      interrupt yields a partial report marked incomplete (exit 130,
-     like the signal). *)
+     like the signal).  [--fast] is accepted like on every subcommand
+     and changes nothing: the campaign's calibrations are single-pass
+     already. *)
   match
     Faults.Campaign.run_by_name ~dies ~seed ?deadline_s:!cli_deadline_s ?interrupt_after
       standard
@@ -434,7 +436,7 @@ let commands =
           ~doc:"Fault-injection stress campaign: lock margins, bit-corruption cliff, degraded \
                 calibration")
        Term.(
-         const faults $ setup_term $ seed_arg $ standard_arg $ dies_arg $ json_arg
+         const faults $ setup_term $ fast_arg $ seed_arg $ standard_arg $ dies_arg $ json_arg
          $ interrupt_after_arg));
     cmd_of "avalanche" "SNR collapse vs key Hamming distance; per-bit key strength" avalanche;
     cmd_of "generality" "Second case study: fabric locking on a 24-bit baseband AFE" generality;

@@ -17,7 +17,10 @@
    - Submit chunks [0..n-1] into contiguous ranges and deals them
      round-robin across per-lane run queues, main lane first so the
      caller always starts on local work.  Each queue has its own mutex
-     and condition variable.
+     and condition variable.  How many lanes a job engages, and how
+     large its chunks are, follows the measured cost of an item (see
+     [job_layout]), so cheap jobs wake nobody and expensive ones spread
+     one item at a time.
    - A lane claims whole chunks from its own queue; when that drains
      it steals a chunk from the busiest other queue.  Items inside a
      claimed chunk run without touching any lock.
@@ -76,13 +79,17 @@ let spurious_counter = Telemetry.Counter.make "pool.wakeup.spurious"
 let queue_wait_hist = Telemetry.Histogram.make "pool.queue.wait_ns"
 let lane_busy_hist = Telemetry.Histogram.make "pool.lane.busy"
 
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-(* The scheduler's largest submit-time chunk, and the unit of the
-   wakeup budget: a submit engages at most ⌈n / max_chunk⌉ lanes, so a
-   tiny batch no longer wakes (and GC-taxes) domains that would each
-   receive less than a chunk's worth of work. *)
+(* The scheduler's largest submit-time chunk. *)
 let max_chunk = 16
+
+(* The work worth one engaged lane, in ns: about what waking a parked
+   domain costs (condvar signal, OS reschedule, its share of every
+   stop-the-world minor GC; DESIGN §13).  A job engages one lane per
+   [engage_ns] of estimated work, and a chunk carries at least that
+   much work when the items are cheaper than it. *)
+let engage_ns = 50_000
 
 type lane = {
   lm : Mutex.t;  (* guards [chunks]; [queued] is atomic for racy scans *)
@@ -121,10 +128,17 @@ type t = {
   mutable total : int;
   mutable failure : exn option;
   mutable generation : int;
-  mutable posted_ns : int64;  (* when the current job was posted *)
+  mutable posted_ns : int;  (* when the current job was posted *)
   mutable shutdown : bool;
   mutable domains : unit Domain.t list;
   steals : int Atomic.t;  (* lifetime stolen chunks, for [stats] *)
+  (* Running geometric mean of the run time of one item, in ns, over
+     the chunks this pool has run.  It starts at [engage_ns], so a
+     fresh pool treats its first job as expensive.  Written by
+     whichever lane finished a chunk, without a lock or fence: a lost
+     or stale update only delays the estimate, it never affects a
+     result. *)
+  mutable item_ns : int;
   workers : int;  (* worker domains actually spawned (lanes - 1) *)
   (* Completion channel of the active streaming job, [None] for [run]
      jobs and between jobs.  Atomic because lanes read it on every
@@ -144,10 +158,6 @@ let new_lane () =
   }
 
 (* Queue ops; caller holds [lane.lm]. *)
-let push_back lane ((lo, hi) as chunk) =
-  lane.chunks <- lane.chunks @ [ chunk ];
-  ignore (Atomic.fetch_and_add lane.queued (hi - lo))
-
 let push_front lane ((lo, hi) as chunk) =
   lane.chunks <- chunk :: lane.chunks;
   ignore (Atomic.fetch_and_add lane.queued (hi - lo))
@@ -166,8 +176,7 @@ let pop lane =
 let observe_claim t lane =
   if lane.claim_gen <> t.generation then begin
     lane.claim_gen <- t.generation;
-    Telemetry.Histogram.observe queue_wait_hist
-      (Int64.to_float (Int64.sub (now_ns ()) t.posted_ns))
+    Telemetry.Histogram.observe queue_wait_hist (float_of_int (now_ns () - t.posted_ns))
   end;
   let busy = ref 0 in
   Array.iter (fun l -> if l.cur >= 0 then incr busy) t.lanes;
@@ -286,8 +295,20 @@ let requeue_inflight t lane =
    on the main lane the remainder is requeued and claiming continues
    (the caller's domain cannot be respawned).  Ordinary exceptions are
    the job's failure: recorded once, and the item still counts as
-   completed so [run] can finish and re-raise. *)
+   completed so [run] can finish and re-raise.  The chunk's wall time
+   per item it ran feeds the pool's per-item mean.  The mean is
+   geometric, half old and half new: a cheap item whose lane was
+   descheduled mid-chunk moves it by the square root of the outlier,
+   not by a share of it, while a real change in item cost is tracked
+   within two or three chunks. *)
+let record_items t ~items ~ns =
+  if items > 0 then begin
+    let x = max 1 (ns / items) in
+    t.item_ns <- int_of_float (Float.sqrt (float_of_int t.item_ns *. float_of_int x))
+  end
+
 let run_chunk t f lane ~is_worker (lo, hi) =
+  let t0 = now_ns () in
   lane.hi <- hi;
   lane.cur <- lo;
   let i = ref lo in
@@ -307,7 +328,8 @@ let run_chunk t f lane ~is_worker (lo, hi) =
       lane.cur <- !i
     end
   done;
-  lane.cur <- -1
+  lane.cur <- -1;
+  record_items t ~items:(!i - lo) ~ns:(now_ns () - t0)
 
 let worker_loop t lane =
   let running = ref true in
@@ -323,7 +345,10 @@ let worker_loop t lane =
          shutdown).  Queues only grow at submit (this lane is then
          signalled) and at orphan requeue (main lane only, and the
          main lane never sleeps here), so sleeping cannot strand
-         claimable work. *)
+         claimable work.  A parked domain keeps costing the others a
+         share of every major GC cycle in proportion to what it holds,
+         so it drops its scratch arena first (DESIGN §15). *)
+      Sigkit.Workspace.release ();
       Mutex.lock lane.lm;
       if lane.chunks = [] && not t.shutdown then begin
         Condition.wait lane.ready lane.lm;
@@ -414,10 +439,11 @@ let create ?(eager = false) workers =
       total = 0;
       failure = None;
       generation = 0;
-      posted_ns = 0L;
+      posted_ns = 0;
       shutdown = false;
       domains = [];
       steals = Atomic.make 0;
+      item_ns = engage_ns;
       workers;
       stream = Atomic.make None;
     }
@@ -455,44 +481,62 @@ let stats t =
   s
 
 (* Deal [0..n-1] into contiguous chunks round-robin across the first
-   [lanes_cap] lanes in deal order (main lane first, so the caller's
-   first claim is always local). *)
+   [lanes_cap] lanes in deal order — the main lane, then workers 0, 1,
+   ... — so the caller's first claim is always local.  Each lane's
+   chunks are collected first and queued under one lock, so a job of
+   many single-item chunks costs one append per lane, not one per
+   chunk.  Returns how many lanes, in deal order, received a chunk. *)
 let distribute (t : t) n chunk ~lanes_cap =
   let lanes = Array.length t.lanes in
   let use = min lanes (max 1 lanes_cap) in
-  let order = Array.init use (fun k -> (t.workers + k) mod lanes) in
-  let got = Array.make lanes false in
+  let dealt = Array.make use [] and items = Array.make use 0 in
   let l = ref 0 in
   let lo = ref 0 in
   while !lo < n do
     let hi = min n (!lo + chunk) in
-    let lane = t.lanes.(order.(!l)) in
-    Mutex.lock lane.lm;
-    push_back lane (!lo, hi);
-    Mutex.unlock lane.lm;
-    got.(order.(!l)) <- true;
+    dealt.(!l) <- (!lo, hi) :: dealt.(!l);
+    items.(!l) <- items.(!l) + (hi - !lo);
     l := (!l + 1) mod use;
     lo := hi
   done;
-  got
+  for k = 0 to use - 1 do
+    if items.(k) > 0 then begin
+      let lane = t.lanes.((t.workers + k) mod lanes) in
+      Mutex.lock lane.lm;
+      lane.chunks <- lane.chunks @ List.rev dealt.(k);
+      ignore (Atomic.fetch_and_add lane.queued items.(k));
+      Mutex.unlock lane.lm
+    end
+  done;
+  min use ((n + chunk - 1) / chunk)
 
-(* Batch-size-aware submit layout.  By default a submit engages only
-   ⌈n / max_chunk⌉ lanes — waking a domain costs a condvar signal, an
-   OS reschedule and a per-domain share of every stop-the-world minor
-   GC (DESIGN §13), which is a bad trade for less than a chunk's worth
-   of work — and sizes chunks to spread [n] evenly over exactly those
-   lanes.  Large batches degenerate to the old layout (every lane, 16
-   a chunk); small ones stay on the caller's lane and wake nobody.
-   Stealing still rebalances inside the engaged set if the items turn
-   out to be skewed.  An explicit [?chunk] override keeps the
-   every-lane deal so tests and benchmarks can force queue traffic. *)
+(* Submit layout by measured work.  With a per-item mean of [m] ns, a
+   job of [n] items engages ⌈n·m / engage_ns⌉ lanes (at most every
+   lane, at least the caller's): waking a domain costs about
+   [engage_ns], which is a bad trade for less work than that, and a
+   good one for anything more.  Chunks are as small as lets each one
+   carry [engage_ns] of work, no larger than an even share of the
+   engaged lanes and never above [max_chunk] — so 8 dies of a lot go
+   out one at a time and both lanes stay busy to the end, while a
+   batch of no-op items stays whole on the caller's lane and wakes
+   nobody.  A fresh pool's mean is [engage_ns], so its first job is
+   treated as expensive: every lane, one item per chunk.  Stealing
+   still rebalances inside the engaged set.  An explicit [?chunk]
+   override keeps the every-lane deal so tests and benchmarks can
+   force queue traffic. *)
 let job_layout (t : t) n chunk =
   let lanes = Array.length t.lanes in
   match chunk with
   | Some c -> (max 1 c, lanes)
   | None ->
-    let cap = min lanes (max 1 ((n + max_chunk - 1) / max_chunk)) in
-    (max 1 (min max_chunk ((n + cap - 1) / cap)), cap)
+    let m = t.item_ns in
+    let work = n * m in
+    if work <= engage_ns then (min max_chunk n, 1)
+    else
+      let cap = min lanes ((work + engage_ns - 1) / engage_ns) in
+      let share = (n + cap - 1) / cap in
+      let carry = (engage_ns + m - 1) / m in
+      (max 1 (min max_chunk (min share carry)), cap)
 
 (* Post a job's bookkeeping (under [t.m]) and deal its chunks; shared
    by [run] and [submit_stream].  Exactly one job may be in flight:
@@ -517,13 +561,13 @@ let post ~api (t : t) f n chunk stream =
   Atomic.set t.stream stream;
   Mutex.unlock t.m;
   let chunk, lanes_cap = job_layout t n chunk in
-  let got = distribute t n chunk ~lanes_cap in
+  let dealt = distribute t n chunk ~lanes_cap in
   (* Targeted wakeups: only the worker lanes that actually received a
-     chunk are signalled; everyone else keeps sleeping. *)
-  Array.iteri
-    (fun slot lane ->
-      if slot < t.workers && got.(slot) then Condition.signal lane.ready)
-    t.lanes
+     chunk (workers [0 .. dealt - 2] in deal order) are signalled;
+     everyone else keeps sleeping. *)
+  for slot = 0 to dealt - 2 do
+    Condition.signal t.lanes.(slot).ready
+  done
 
 let run ?chunk (t : t) f n =
   if n > 0 then begin

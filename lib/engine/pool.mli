@@ -9,7 +9,14 @@
     result independent of claim order.
 
     Scheduling (DESIGN §13): submit deals contiguous index chunks
-    round-robin across per-lane run queues (main lane first); a lane
+    round-robin across per-lane run queues (main lane first).  The
+    pool keeps a running mean of the run time of one item, and a job
+    of [n] items engages one lane per ~50 µs (about one wakeup's cost)
+    of estimated work, [n] times that mean, capped at every lane; a
+    pool with no history treats its first job as expensive.  So a job
+    of a few millisecond-scale items engages every lane, one item per
+    chunk, while a job of items measured far cheaper than a wakeup
+    stays on the caller's lane and wakes no worker.  A lane
     claims chunks from its own queue and steals from the busiest other
     queue when it drains.  Wakeups are targeted [signal]s — only lanes
     that can make progress are woken — and a wake that finds nothing
@@ -53,11 +60,7 @@ val workers : t -> int
     passed to {!create}. *)
 
 val max_chunk : int
-(** The scheduler's largest submit-time chunk (16), and the unit of
-    the submit-time wakeup budget: a default-chunked submit engages at
-    most [ceil (n / max_chunk)] lanes, so tiny batches stay on the
-    caller's lane instead of waking domains for less than a chunk's
-    worth of work. *)
+(** The scheduler's largest submit-time chunk (16). *)
 
 type stats = {
   lanes : int;  (** workers + the participating main lane *)
@@ -78,10 +81,12 @@ val stats : t -> stats
 
 val run : ?chunk:int -> t -> (int -> unit) -> int -> unit
 (** [run ?chunk t f n] evaluates [f i] for all [i < n].  [chunk]
-    overrides the submit-time chunk size (default: [n] spread evenly
-    over the engaged lanes, capped at {!max_chunk}) and disables the
-    wakeup budget — the explicit-chunk deal covers every lane; mainly
-    for tests and benchmarks that want to force queue traffic. *)
+    overrides the submit-time chunk size (default: enough items to
+    carry ~50 µs of measured work, no more than an even share of the
+    engaged lanes, capped at {!max_chunk}) and disables the
+    work-based engagement — the explicit-chunk deal covers every lane;
+    mainly for tests and benchmarks that want to force queue
+    traffic. *)
 
 (** {1 Streaming submission (DESIGN §14)}
 
@@ -98,7 +103,7 @@ type 'a ticket
 
 val submit_stream : ?chunk:int -> t -> (int -> 'a) -> int -> 'a ticket
 (** [submit_stream t f n] deals items [0..n-1] across the lanes under
-    the same layout as {!run} (wakeup budget included) and returns
+    the same layout as {!run} (work-based engagement included) and returns
     immediately.  An ordinary exception raised by [f i] is captured as
     that item's result and re-raised by {!next_result} on delivery —
     after discarding the remainder of the job — rather than recorded

@@ -8,12 +8,14 @@ type t = {
   jobs : int;
   checkpoint : Checkpoint.t option;
   deadline : Telemetry.Cancel.t option;
-  (* Main-domain re-entrancy latch: true while a streaming job owns
-     the pool.  Work running *inside* the stream (a calibration nested
-     in a parallelised study, say) that calls back into this engine
-     must not try to post a second pool job — with the latch up,
-     nested batches and streams compute inline instead.  Only the main
-     domain reads or writes it. *)
+  (* Main-domain re-entrancy latch: true while a streaming job or a
+     [map_jobs] fan-out owns the engine.  Work running *inside* it (a
+     calibration nested in a parallelised study, say) that calls back
+     into this engine must not try to post a second pool job — with
+     the latch up, nested evals, batches and streams compute inline
+     instead, and take the same cache-less path on the main lane as on
+     a worker lane, so no count depends on which lane ran an item.
+     Only the main domain writes it. *)
   mutable streaming : bool;
 }
 
@@ -130,7 +132,10 @@ let trials_counter = Telemetry.Counter.make "measure.trials"
 (* The cache and the pool are main-domain structures; an eval issued
    from a worker domain (e.g. a calibration nested inside a
    parallelised study) falls back to inline sequential compute (plus
-   the checkpoint, which is mutex-protected and domain-safe). *)
+   the checkpoint, which is mutex-protected and domain-safe).  An eval
+   nested inside a stream or fan-out on the main lane takes that same
+   path ([nested]), so the cache traffic and the simulator counts of
+   a fan-out do not depend on the lanes it ran on. *)
 let main_domain = Domain.self ()
 let on_main () = Domain.self () = main_domain
 
@@ -216,10 +221,12 @@ let compute_keyed t ~token key req =
   checkpoint_record t key value;
   value
 
+let nested t = t.streaming || not (on_main ())
+
 let eval_value ?token t (req : Request.t) : Cache.value =
   let token = match token with Some _ as tk -> tk | None -> t.deadline in
   let key = Request.cache_key req in
-  if not (on_main ()) then
+  if nested t then
     match key with
     | Some k -> (
       match lookup_checkpoint t k with
@@ -264,7 +271,7 @@ let eval_batch_inner ?token t ?account reqs =
   let arr = Array.of_list reqs in
   let n = Array.length arr in
   if n = 0 then []
-  else if not (on_main ()) then
+  else if nested t then
     List.map
       (fun req ->
         let value = eval_value ?token t req in
@@ -322,11 +329,6 @@ let eval_batch_inner ?token t ?account reqs =
     in
     (match t.backend with
     | Seq -> Array.iteri (fun j _ -> run_one j) misses
-    | Domains _ when t.streaming ->
-      (* A streaming job owns the pool (this batch is nested inside
-         one of its items, running on the main lane); compute inline
-         rather than posting a second job. *)
-      Array.iteri (fun j _ -> run_one j) misses
     | Domains pool -> Pool.run pool run_one (Array.length misses));
     (* Store pass in request order, after the barrier: cache state is a
        pure function of the request sequence, never of claim order. *)
@@ -430,7 +432,7 @@ let eval_stream_inner ?token ?deadline_s (t : t) ?account reqs =
       s_dead = None;
     }
   in
-  if not (on_main ()) || t.streaming then begin
+  if nested t then begin
     (* Off the main domain, or nested inside another stream on this
        engine: degrade to a lazy sequential cursor in index order.
        [eval_value] keeps the cache/journal semantics right for either
@@ -596,26 +598,28 @@ let eval_stream_deadlined ?engine ?account ~deadline_s reqs =
 (* Generic job-level streaming for fan-outs that are not [Request]
    evaluations (a lot's die calibrations, an attack's trial set): run
    [f] over [0..n-1] on the pool, out of order, and assemble by index.
-   [f] may call back into this engine — on the main lane such calls
-   compute inline behind the re-entrancy latch; on worker lanes they
-   take the usual off-main (checkpoint + inline compute) path. *)
+   [f] may call back into this engine; such calls take the nested
+   path (checkpoint + inline compute, no cache) on every lane and on
+   every backend, so a fan-out's counts are the same at any [jobs]. *)
 let map_jobs ?engine f n =
   let t = resolve engine in
   if n <= 0 then []
-  else
-    match t.backend with
-    | Domains pool when on_main () && not t.streaming ->
-      t.streaming <- true;
-      Fun.protect
-        ~finally:(fun () -> t.streaming <- false)
-        (fun () ->
+  else if nested t then List.init n f
+  else begin
+    t.streaming <- true;
+    Fun.protect
+      ~finally:(fun () -> t.streaming <- false)
+      (fun () ->
+        match t.backend with
+        | Seq -> List.init n f
+        | Domains pool -> (
           let ticket = Pool.submit_stream pool f n in
           match Pool.drain ticket with
           | results -> Array.to_list results
           | exception e ->
             Pool.discard ticket;
-            raise e)
-    | _ -> List.init n f
+            raise e))
+  end
 
 let eval_guarded ?engine ?deadline_s ~account req =
   if Account.exhausted account then begin

@@ -183,9 +183,11 @@ val map_jobs : ?engine:t -> (int -> 'a) -> int -> 'a list
     streamed job and returns the results in index order — job-level
     streaming for fan-outs that are not request evaluations (die
     calibrations, attack trials).  [f] may call back into the engine:
-    on the main lane such calls compute inline; on worker lanes they
-    take the usual off-main path.  Sequential engines (and nested
-    calls) run [List.init n f]. *)
+    on every lane, and on a sequential engine too, such calls compute
+    inline through the checkpoint and skip the cache, so the engine's
+    counters ([engine.evals], [engine.cache.*], [sdm.steps], ...) do
+    not depend on which lane ran an item or on [jobs].  Sequential
+    engines (and nested calls) run [List.init n f]. *)
 
 val eval_guarded :
   ?engine:t ->

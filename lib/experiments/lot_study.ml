@@ -61,8 +61,8 @@ let run ?(lot = 8) ?(seed_base = 6000) standard =
   (* Die calibrations are independent full 14-step runs — the lot's
      widest fan-out.  Stream them across the engine's lanes as one
      job-level grid; index assembly keeps the lot in seed order, and
-     each calibration's own engine calls take the inline
-     (main-lane) or off-main (worker-lane) path automatically. *)
+     each calibration's own engine calls compute inline, without the
+     cache, on whichever lane took the die. *)
   let dice = Engine.Service.map_jobs (fun i -> calibrate_die standard (seed_base + i)) lot in
   let in_spec = List.filter (fun d -> d.in_spec) dice in
   let median = median_key dice in

@@ -3,13 +3,21 @@
     Measurement kernels (periodogram, real FFT, the fused modulator
     loop) need several same-sized float arrays per call.  Allocating
     them fresh per measurement is what made the seed periodogram cost
-    5+ arrays per call.  A workspace hands out arrays keyed by
-    [(slot, length)], reusing them across calls.
+    5+ arrays per call.  A workspace holds one array per slot and
+    hands it out again while the requested length stays the same.
+
+    Retention rule: a request for a slot at a different length replaces
+    that slot's array with a fresh one, and the old array becomes
+    garbage at once.  The live scratch of a domain is therefore the sum
+    of the slots' current lengths, not of every length a slot ever
+    served.  That matters because the GC sizes the major heap as
+    [(1 + space_overhead)] times the live data, on every domain the
+    pool engages (DESIGN §15).
 
     Thread-safety contract: the arena is stored in {!Domain.DLS}, so
     each domain of the engine's pool owns a private workspace and no
     locking is needed.  Arrays returned by {!arr} are only valid until
-    the next call with the same slot and length {e on the same domain};
+    the next call with the same slot {e on the same domain};
     callers must fully overwrite them before reading and must not
     retain them across yields to other work wanting the same slot.
     Data returned to callers (e.g. [Spectrum.t.power]) must be copied
@@ -29,11 +37,20 @@ val get : unit -> t
 (** The calling domain's workspace (created on first use). *)
 
 val arr : t -> slot:int -> len:int -> float array
-(** [arr t ~slot ~len] returns the scratch array for [(slot, len)],
-    allocating it on first use.  Contents are unspecified.  [slot] must
-    be in [0..15].  The same physical array is returned for repeated
-    calls with equal arguments on the same domain. *)
+(** [arr t ~slot ~len] returns [slot]'s scratch array, of length
+    [len].  Contents are unspecified.  [slot] must be in [0..15].
+    Repeated calls with equal arguments on the same domain return the
+    same physical array without allocating; a call with a different
+    [len] allocates a fresh array and drops the slot's old one. *)
+
+val release : unit -> unit
+(** Drop every slot's array of the calling domain's workspace.  The
+    pool's worker lanes call this before they park, so an idle worker
+    domain holds no scratch: neither its memory nor its share of every
+    major GC cycle, which parked domains still pay (DESIGN §15).  The
+    next request on that domain allocates afresh. *)
 
 val allocations : unit -> int
-(** Process-wide count of scratch arrays materialised so far; a steady
-    value under load means the hot path has stopped allocating. *)
+(** Process-wide count of scratch arrays materialised so far, length
+    changes included; a steady value under load means the hot path has
+    stopped allocating. *)

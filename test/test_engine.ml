@@ -311,6 +311,77 @@ let test_pool_respawn_mid_chunk () =
     (Array.for_all (fun v -> v > 0) out);
   Engine.Pool.shutdown pool
 
+(* Engagement by measured work.  Four ~20 ms items are expensive
+   against one wakeup, so both lanes of an eager 2-lane pool must run
+   some: on the first job (no history, treated as expensive) and again
+   once the pool has measured the items. *)
+let test_pool_engages_expensive_items () =
+  let pool = Engine.Pool.create ~eager:true 1 in
+  let main = Domain.self () in
+  let job () =
+    let ran = Array.make 4 main in
+    Engine.Pool.run pool
+      (fun i ->
+        Unix.sleepf 0.02;
+        ran.(i) <- Domain.self ())
+      4;
+    Array.exists (fun d -> d <> main) ran
+  in
+  Alcotest.(check bool) "first job (no history) reaches the worker lane" true (job ());
+  Alcotest.(check bool) "measured expensive items reach the worker lane" true (job ());
+  Engine.Pool.shutdown pool
+
+(* The other side of the rule: once the pool has measured no-op items,
+   a job of 8 of them carries far less work than one wakeup and must
+   stay on the caller's lane. *)
+let test_pool_cheap_job_wakes_nobody () =
+  let pool = Engine.Pool.create ~eager:true 1 in
+  let main = Domain.self () in
+  for _ = 1 to 5 do
+    Engine.Pool.run pool (fun _ -> ()) 8
+  done;
+  (* Let a worker woken by the first (history-less) job park again. *)
+  Unix.sleepf 0.05;
+  let ran = Array.make 8 main in
+  Engine.Pool.run pool (fun i -> ran.(i) <- Domain.self ()) 8;
+  Alcotest.(check bool) "every no-op item ran on the caller's lane" true
+    (Array.for_all (fun d -> d = main) ran);
+  Engine.Pool.shutdown pool
+
+(* Evals nested in a [map_jobs] item skip the cache on every lane, so a
+   lot's counts are the same whichever lane took which die — and the
+   same at jobs 1 as on two lanes. *)
+let test_map_jobs_counters_lane_invariant () =
+  let names =
+    [ "engine.evals"; "engine.cache.hit"; "engine.cache.miss"; "sdm.steps"; "receiver.runs";
+      "measure.trials" ]
+  in
+  let main = Domain.self () in
+  let lot jobs =
+    Engine.Service.configure ~jobs ();
+    let before = List.map counter names in
+    let off_main = Atomic.make 0 in
+    let keys =
+      Engine.Service.map_jobs
+        (fun i ->
+          if Domain.self () <> main then Atomic.incr off_main;
+          let chip = Circuit.Process.fabricate ~seed:(7100 + i) () in
+          let rx = Rfchain.Receiver.create chip standard in
+          let o = Calibration.Calibrate.run ~passes:1 ~max_retries:0 rx in
+          Rfchain.Config.to_bits o.Calibration.Calibrate.report.Calibration.Calibrate.key)
+        4
+    in
+    (keys, List.map2 (fun n b -> (n, counter n - b)) names before, Atomic.get off_main)
+  in
+  let keys1, deltas1, _ = lot 1 in
+  let keys2, deltas2, off_main = lot 2 in
+  Engine.Service.configure ();
+  Alcotest.(check (list int64)) "same keys at jobs 1 and on two lanes" keys1 keys2;
+  Alcotest.(check (list (pair string int))) "same counter deltas at jobs 1 and on two lanes"
+    deltas1 deltas2;
+  if Domain.recommended_domain_count () >= 2 then
+    Alcotest.(check bool) "the worker lane took a die" true (off_main > 0)
+
 (* ------------------------------------------------------------- stream *)
 
 (* Out-of-order delivery: item 0 blocks until item 1 (on the other
@@ -703,6 +774,10 @@ let () =
           Alcotest.test_case "steal under skew" `Quick test_pool_steal_under_skew;
           Alcotest.test_case "respawn mid-chunk requeues the remainder" `Quick
             test_pool_respawn_mid_chunk;
+          Alcotest.test_case "expensive items engage every lane" `Quick
+            test_pool_engages_expensive_items;
+          Alcotest.test_case "a cheap job wakes no worker" `Quick
+            test_pool_cheap_job_wakes_nobody;
         ] );
       ( "stream",
         [
@@ -713,6 +788,8 @@ let () =
           Alcotest.test_case "cache hits are delivered first" `Quick test_stream_hits_first;
           Alcotest.test_case "abort releases the engine" `Quick test_stream_abort_reusable;
           Alcotest.test_case "map_jobs with nested engine calls" `Quick test_map_jobs_nested;
+          Alcotest.test_case "map_jobs counters are lane-invariant" `Quick
+            test_map_jobs_counters_lane_invariant;
         ]
         @ qcheck [ prop_stream_equals_batch ] );
       ( "deadline",

@@ -288,6 +288,35 @@ let test_workspace_reuse () =
   let c = Sigkit.Workspace.arr w ~slot:15 ~len:128 in
   Alcotest.(check bool) "length is part of the key" true (not (c == a))
 
+(* One array per slot: a length change hands out a fresh array and
+   drops the old one (it must be collectable), while same-length reuse
+   allocates nothing at all. *)
+let test_workspace_length_change () =
+  let w = Sigkit.Workspace.get () in
+  let old = Weak.create 1 in
+  let[@inline never] fill () = Weak.set old 0 (Some (Sigkit.Workspace.arr w ~slot:15 ~len:4096)) in
+  fill ();
+  let fresh = Sigkit.Workspace.arr w ~slot:15 ~len:2048 in
+  Alcotest.(check int) "fresh array has the new length" 2048 (Array.length fresh);
+  Gc.full_major ();
+  Alcotest.(check bool) "the old array was released" true (Weak.get old 0 = None);
+  let allocs0 = Sigkit.Workspace.allocations () in
+  let words0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Sigkit.Workspace.arr w ~slot:15 ~len:2048))
+  done;
+  let words = Gc.minor_words () -. words0 in
+  Alcotest.(check int) "same-length reuse materialises nothing" allocs0
+    (Sigkit.Workspace.allocations ());
+  Alcotest.(check bool) "same-length reuse allocates no words" true (words < 1.0);
+  Alcotest.(check bool) "and returns the same array" true
+    (Sigkit.Workspace.arr w ~slot:15 ~len:2048 == fresh);
+  (* [release] (what a parking pool worker calls) drops every slot. *)
+  Sigkit.Workspace.release ();
+  Alcotest.(check bool) "after release the slot is materialised afresh" false
+    (Sigkit.Workspace.arr w ~slot:15 ~len:2048 == fresh);
+  Alcotest.(check int) "counted as one new array" (allocs0 + 1) (Sigkit.Workspace.allocations ())
+
 (* Two domains running the workspace-backed measurement path
    concurrently must reproduce the sequential results bit for bit:
    each domain owns a private DLS arena, so there is no sharing to
@@ -493,6 +522,7 @@ let () =
           Alcotest.test_case "plan memoization" `Quick test_plan_memoized;
           Alcotest.test_case "window table memoization" `Quick test_window_table_memoized;
           Alcotest.test_case "workspace reuse" `Quick test_workspace_reuse;
+          Alcotest.test_case "workspace length change" `Quick test_workspace_length_change;
           Alcotest.test_case "workspace across domains" `Quick test_workspace_domains;
         ] );
       ( "spectrum",
