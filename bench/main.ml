@@ -168,6 +168,24 @@ let bench_engine_hit () =
 let bench_engine_miss () =
   ignore (Engine.Service.eval ~engine:(Lazy.force engine_uncached) (Lazy.force engine_request))
 
+(* [engine:cache-miss] re-evaluates the golden key on one die, so its
+   noise batches and stimulus come from tagged scratch and the fused
+   modulator loop runs.  An attack's common case is a new random key
+   per query: mostly the generic loop, and a VGLNA noise batch that is
+   reused only when consecutive keys share the gain code. *)
+let miss_random_rng = lazy (Sigkit.Rng.create 0xC0FFEE)
+
+let bench_engine_miss_random () =
+  let c = Lazy.force ctx in
+  let request =
+    Engine.Request.make
+      ~die:(Engine.Request.die_of_receiver c.Experiments.Context.rx)
+      ~standard:c.Experiments.Context.standard
+      ~config:(Rfchain.Config.random (Lazy.force miss_random_rng))
+      Engine.Request.Snr_mod
+  in
+  ignore (Engine.Service.eval ~engine:(Lazy.force engine_uncached) request)
+
 let bench_engine_batch engine () =
   ignore (Engine.Service.eval_batch ~engine:(Lazy.force engine) (Lazy.force engine_batch))
 
@@ -266,6 +284,7 @@ let tests =
     Test.make ~name:"generality:afe-measure" (Staged.stage bench_afe_measure);
     Test.make ~name:"engine:cache-hit" (Staged.stage bench_engine_hit);
     Test.make ~name:"engine:cache-miss" (Staged.stage bench_engine_miss);
+    Test.make ~name:"engine:cache-miss-random" (Staged.stage bench_engine_miss_random);
     Test.make ~name:"engine:batch8-1domain" (Staged.stage (bench_engine_batch engine_uncached));
     Test.make ~name:"engine:batch8-2domains" (Staged.stage (bench_engine_batch engine_pool2));
     Test.make ~name:"engine:batch8-4domains" (Staged.stage (bench_engine_batch engine_pool4));

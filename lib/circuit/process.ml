@@ -71,6 +71,14 @@ let offset chip ~name ~sigma =
 
 let noise_stream chip ~name = Sigkit.Rng.split chip.rng_root ("noise:" ^ name)
 
+(* Exact because [rng_root] is [Rng.create seed] and no chip
+   transformation replaces it: a stream, and so the batch, is a pure
+   function of (seed, name), and the tag names exactly that. *)
+let noise_batch chip ~name ~slot ~n =
+  Sigkit.Workspace.filled (Sigkit.Workspace.get ()) ~slot ~len:n
+    ~tag:(string_of_int chip.seed ^ ":" ^ name)
+    ~fill:(fun buf -> Sigkit.Rng.gaussian_fill (noise_stream chip ~name) buf ~n)
+
 let variation_enabled chip = chip.sigma_scale > 0.0
 
 (* Canonical fingerprint of the die's behavioural identity: two chips

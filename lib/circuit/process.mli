@@ -49,7 +49,18 @@ val offset : chip -> name:string -> sigma:float -> float
 
 val noise_stream : chip -> name:string -> Sigkit.Rng.t
 (** A fresh, reproducible RNG for a named noise source on this chip.
-    Each call returns a generator restarted at the stream origin. *)
+    Each call returns a generator restarted at the stream origin.  The
+    stream depends only on the die's seed and [name]: {!age},
+    {!environment}, {!with_offset_bias} and the lot sigma scale leave
+    it unchanged. *)
+
+val noise_batch : chip -> name:string -> slot:int -> n:int -> float array
+(** The first [n] draws of [noise_stream chip ~name], in workspace slot
+    [slot] of the calling domain ({!Sigkit.Workspace.filled}, tagged
+    by seed and stream name).  Consecutive calls for the same stream
+    and length return the slot's array without drawing again, also
+    across receivers and chip variants of one die.  Read-only; valid
+    until the next use of [slot] on this domain. *)
 
 val variation_enabled : chip -> bool
 (** False when the chip was fabricated with [lot_sigma_scale = 0.]. *)

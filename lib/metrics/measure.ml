@@ -16,28 +16,43 @@ let global_trial_count () = Telemetry.Counter.value trials_counter
 
 let osr = Rfchain.Standards.oversampling_ratio
 
-let run_tone t config ~p_dbm ~n =
+let count_trial t =
   t.trials <- t.trials + 1;
-  Telemetry.Counter.incr trials_counter;
+  Telemetry.Counter.incr trials_counter
+
+(* One single-tone trial through the analog half only.  The stimuli
+   live in tagged workspace slots (DESIGN §15), 10 for the single tone
+   and 11 for the two-tone; a tag lists every parameter the samples
+   depend on, floats in exact hex, so consecutive trials on one domain
+   under the same stimulus reuse it as written.  The bitstream is the
+   receiver's slot-7 scratch: read it before the next trial. *)
+let modulate_tone t config ~p_dbm ~n =
+  count_trial t;
   let fs = Rfchain.Receiver.fs t.rx in
-  let f_in = Rfchain.Receiver.test_tone_frequency t.rx ~n in
-  let input = Sigkit.Waveform.tone_dbm ~p_dbm ~freq:f_in ~fs n in
-  (f_in, Rfchain.Receiver.run t.rx ~analog:config ~input ())
+  let freq = Rfchain.Receiver.test_tone_frequency t.rx ~n in
+  let input =
+    Sigkit.Workspace.filled (Sigkit.Workspace.get ()) ~slot:10 ~len:n
+      ~tag:(Printf.sprintf "%h:%h:%h" p_dbm freq fs)
+      ~fill:(Sigkit.Waveform.tone_into ~amplitude:(Sigkit.Decibel.amplitude_of_dbm p_dbm) ~freq ~fs)
+  in
+  (freq, Rfchain.Receiver.modulate t.rx ~analog:config ~input ())
 
 let mod_output t config =
-  let _, res = run_tone t config ~p_dbm:t.p_dbm ~n:Snr.default_fft_points in
-  res.Rfchain.Receiver.mod_output
+  let n = Snr.default_fft_points in
+  let _, bits = modulate_tone t config ~p_dbm:t.p_dbm ~n in
+  Array.sub bits (Array.length bits - n) n
 
 let snr_mod_db t config =
   Telemetry.Span.with_ ~name:"measure.snr_mod" (fun () ->
-      let f_in, res = run_tone t config ~p_dbm:t.p_dbm ~n:Snr.default_fft_points in
-      Snr.of_bandpass ~fs:res.Rfchain.Receiver.fs ~f_signal:f_in ~osr
-        res.Rfchain.Receiver.mod_output)
+      let f_in, bits = modulate_tone t config ~p_dbm:t.p_dbm ~n:Snr.default_fft_points in
+      Snr.of_bandpass ~fs:(Rfchain.Receiver.fs t.rx) ~f_signal:f_in ~osr bits)
 
 let tone_power_at t config ~p_dbm =
-  let f_in, res = run_tone t config ~p_dbm ~n:Snr.default_fft_points in
+  let n = Snr.default_fft_points in
+  let f_in, bits = modulate_tone t config ~p_dbm ~n in
   let spec =
-    Sigkit.Spectrum.periodogram ~fs:res.Rfchain.Receiver.fs res.Rfchain.Receiver.mod_output
+    Sigkit.Spectrum.periodogram ~pos:(Array.length bits - n) ~len:n
+      ~fs:(Rfchain.Receiver.fs t.rx) bits
   in
   Sigkit.Spectrum.tone_power spec ~freq:f_in
 
@@ -56,13 +71,13 @@ let baseband_snr t config ~p_dbm ~n_fft =
   Telemetry.Span.with_ ~name:"measure.snr_rx" (fun () ->
       let ratio = Rfchain.Decimator.ratio Rfchain.Decimator.default_config in
       let n = n_fft * ratio in
-      let f_in, res = run_tone t config ~p_dbm ~n in
-      let fs = res.Rfchain.Receiver.fs in
+      let f_in, bits = modulate_tone t config ~p_dbm ~n in
+      let fs = Rfchain.Receiver.fs t.rx in
       let band = Rfchain.Standards.band_hz (Rfchain.Receiver.standard t.rx) in
-      Snr.of_baseband_iq ~n_fft ~fs:res.Rfchain.Receiver.fs_baseband
+      Snr.of_baseband_iq ~n_fft ~fs:(fs /. float_of_int ratio)
         ~f_signal:(f_in -. (fs /. 4.0))
         ~f_band:(band /. 2.0)
-        (res.Rfchain.Receiver.baseband_i, res.Rfchain.Receiver.baseband_q))
+        (Rfchain.Receiver.baseband bits ~n))
 
 let snr_rx_db ?(n_fft = 2048) t config = baseband_snr t config ~p_dbm:t.p_dbm ~n_fft
 
@@ -71,16 +86,19 @@ let snr_rx_at_power_db ?(n_fft = 1024) t config ~p_dbm ~gain_code =
   baseband_snr t config ~p_dbm ~n_fft
 
 let sfdr_db t config =
-  t.trials <- t.trials + 1;
-  Telemetry.Counter.incr trials_counter;
+  count_trial t;
   Telemetry.Span.with_ ~name:"measure.sfdr" (fun () ->
       let n = Snr.default_fft_points in
       let fs = Rfchain.Receiver.fs t.rx in
       let standard = Rfchain.Receiver.standard t.rx in
       let f1, f2 = Sfdr.tones_for ~f0:standard.Rfchain.Standards.f0_hz ~fs ~n in
-      let input = Sigkit.Waveform.two_tone_dbm ~p_dbm:t.p_dbm ~f1 ~f2 ~fs n in
-      let res = Rfchain.Receiver.run t.rx ~analog:config ~input () in
-      Sfdr.of_bandpass ~fs ~f1 ~f2 ~osr res.Rfchain.Receiver.mod_output)
+      let p_dbm = t.p_dbm in
+      let input =
+        Sigkit.Workspace.filled (Sigkit.Workspace.get ()) ~slot:11 ~len:n
+          ~tag:(Printf.sprintf "%h:%h:%h:%h" p_dbm f1 f2 fs)
+          ~fill:(Sigkit.Waveform.two_tone_dbm_into ~p_dbm ~f1 ~f2 ~fs)
+      in
+      Sfdr.of_bandpass ~fs ~f1 ~f2 ~osr (Rfchain.Receiver.modulate t.rx ~analog:config ~input ()))
 
 let full t config =
   {

@@ -5,7 +5,15 @@
     receiver output, and two-tone SFDR.  They are also the attacker's
     oracle: each call corresponds to one ATE/simulation trial, so every
     call is counted against the attack-cost model (see
-    {!Attacks.Cost}). *)
+    {!Attacks.Cost}).
+
+    A trial computes only what its metric reads: the modulator-output
+    metrics run {!Rfchain.Receiver.modulate} and read the bitstream in
+    place, and only [snr_rx] runs the digital section.  The stimuli
+    are written into tagged {!Sigkit.Workspace} slots 10 (single tone)
+    and 11 (two-tone) of the calling domain, so consecutive trials
+    under one stimulus synthesise it once.  Results are bit-identical
+    to measuring [Receiver.run] on a freshly synthesised stimulus. *)
 
 type t
 

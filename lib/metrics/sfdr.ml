@@ -6,10 +6,12 @@ let tones_for ~f0 ~fs ~n =
     Sigkit.Waveform.coherent_frequency ~freq:(f0 +. half) ~fs ~n )
 
 let of_bandpass ?(n_fft = Snr.default_fft_points) ~fs ~f1 ~f2 ~osr record =
-  let n = min n_fft (Array.length record) in
+  let len = Array.length record in
+  let n = min n_fft len in
   let n = if Sigkit.Fft.is_pow2 n then n else Sigkit.Fft.next_pow2 n / 2 in
-  let tail = Array.sub record (Array.length record - n) n in
-  let spec = Sigkit.Spectrum.periodogram ~window:Sigkit.Window.Hann ~fs tail in
+  let spec =
+    Sigkit.Spectrum.periodogram ~window:Sigkit.Window.Hann ~pos:(len - n) ~len:n ~fs record
+  in
   let centre = fs /. 4.0 in
   let half_band = fs /. (2.0 *. float_of_int osr) /. 2.0 in
   let p1 = Sigkit.Spectrum.tone_power spec ~freq:f1 in

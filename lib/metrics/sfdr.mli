@@ -23,4 +23,5 @@ val of_bandpass :
 (** [of_bandpass ~fs ~f1 ~f2 ~osr record] is the SFDR in dB measured at
     the modulator output: fundamentals at [f1]/[f2], spurs searched in
     the (OSR) band of interest around [fs/4] excluding the fundamental
-    lobes. *)
+    lobes.  Only the record's last [n_fft] samples (default
+    {!Snr.default_fft_points}) are analysed, read in place. *)

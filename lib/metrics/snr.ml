@@ -1,13 +1,13 @@
 let default_fft_points = 8192
 
 let spectrum ?(n_fft = default_fft_points) ~fs record =
-  let n = min n_fft (Array.length record) in
+  let len = Array.length record in
+  let n = min n_fft len in
   let n = if Sigkit.Fft.is_pow2 n then n else Sigkit.Fft.next_pow2 n / 2 in
   if n < 64 then invalid_arg "Snr: record too short";
-  (* Use the tail of the record: any residual start-up transient decays
-     away from the measurement window. *)
-  let tail = Array.sub record (Array.length record - n) n in
-  Sigkit.Spectrum.periodogram ~window:Sigkit.Window.Hann ~fs tail
+  (* Use the tail of the record, read in place: any residual start-up
+     transient decays away from the measurement window. *)
+  Sigkit.Spectrum.periodogram ~window:Sigkit.Window.Hann ~pos:(len - n) ~len:n ~fs record
 
 let snr_from_spectrum spec ~f_signal ~f_lo ~f_hi =
   let signal = Sigkit.Spectrum.tone_power spec ~freq:f_signal in

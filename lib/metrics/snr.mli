@@ -17,7 +17,9 @@ val of_bandpass :
   float
 (** [of_bandpass ~fs ~f_signal ~osr record] is the SNR in dB of the
     modulator-output record: band centred at [fs/4], width
-    [fs/(2 osr)], carrier at [f_signal]. *)
+    [fs/(2 osr)], carrier at [f_signal].  Only the record's last
+    [n_fft] samples (default {!default_fft_points}) are analysed, read
+    in place. *)
 
 val of_baseband :
   ?n_fft:int ->

@@ -40,19 +40,16 @@ let sdm_of_config t config = Sdm.create t.chip ~fs:(fs t) (applied_config t conf
 let runs = Telemetry.Counter.make "receiver.runs"
 let samples = Telemetry.Counter.make "receiver.samples"
 
-(* Workspace slots of the evaluation chain (see DESIGN §15 for the full
-   map and aliasing argument).  Every slot is dead again by the time
-   [run] returns: the only arrays that escape are the freshly allocated
-   result fields. *)
+(* Workspace slots of the analog half (see DESIGN §15 for the full map
+   and aliasing argument).  The settle-extended record is dead once
+   [modulate] returns; the slot-7 bitstream is its result. *)
 let extended_slot = 6
 let mod_slot = 7
-let mix_i_slot = 10
-let mix_q_slot = 11
 
-let run t ~analog ?(digital = Decimator.default_config) ?(settle = 1024) ?(slice = true) ~input () =
+let modulate t ~analog ?(settle = 1024) ~input () =
   Telemetry.Counter.incr runs;
   Telemetry.Counter.add samples (Array.length input);
-  Telemetry.Span.with_ ~name:"receiver.run" (fun () ->
+  Telemetry.Span.with_ ~name:"receiver.modulate" (fun () ->
   let analog = applied_config t analog in
   let n = Array.length input in
   let total = settle + n in
@@ -76,13 +73,24 @@ let run t ~analog ?(digital = Decimator.default_config) ?(settle = 1024) ?(slice
   let sdm = Sdm.create t.chip ~fs:(fs t) analog in
   let mod_full = Sigkit.Workspace.arr ws ~slot:mod_slot ~len:total in
   Sdm.run_into sdm extended mod_full;
-  let mod_output = Array.sub mod_full settle n in
-  let i_ch = Sigkit.Workspace.arr ws ~slot:mix_i_slot ~len:n in
-  let q_ch = Sigkit.Workspace.arr ws ~slot:mix_q_slot ~len:n in
-  Mixer.downconvert_into ~slice mod_full ~pos:settle ~n ~i_out:i_ch ~q_out:q_ch;
-  let baseband_i, baseband_q = Decimator.run_iq digital (i_ch, q_ch) in
+  mod_full)
+
+(* The mixer's I/Q are fresh arrays, not scratch: a modulator-only eval
+   never visits the mixer, so scratch slots for it would stay pinned at
+   the last long capture's length (DESIGN §15). *)
+let baseband ?(digital = Decimator.default_config) ?(slice = true) bits ~n =
+  let pos = Array.length bits - n in
+  let i_ch = Array.make n 0.0 and q_ch = Array.make n 0.0 in
+  Mixer.downconvert_into ~slice bits ~pos ~n ~i_out:i_ch ~q_out:q_ch;
+  Decimator.run_iq digital (i_ch, q_ch)
+
+let run t ~analog ?(digital = Decimator.default_config) ?settle ?slice ~input () =
+  Telemetry.Span.with_ ~name:"receiver.run" (fun () ->
+  let n = Array.length input in
+  let bits = modulate t ~analog ?settle ~input () in
+  let baseband_i, baseband_q = baseband ~digital ?slice bits ~n in
   {
-    mod_output;
+    mod_output = Array.sub bits (Array.length bits - n) n;
     baseband_i;
     baseband_q;
     fs = fs t;

@@ -63,7 +63,30 @@ val run :
     50 ohm).  [settle] extra samples (default 1024) are prepended and
     dropped so records are steady-state.  [slice] (default true) keeps
     the digital section's 1-bit input boundary; false is the ablation
-    that pretends the digital section accepted analog samples. *)
+    that pretends the digital section accepted analog samples.
+    Equivalent to {!modulate}, then {!baseband} on its result, then a
+    copy of the last [Array.length input] bits into [mod_output]. *)
+
+val modulate :
+  t -> analog:Config.t -> ?settle:int -> input:float array -> unit -> float array
+(** The analog half of {!run}: settle prefix, VGLNA and modulator.
+    Returns the full modulator bitstream, [settle + Array.length input]
+    samples with the settle prefix first, so its last
+    [Array.length input] samples are {!run}'s [mod_output].
+
+    Lifetime: the result is {!Sigkit.Workspace} slot 7 of the calling
+    domain, not a fresh array.  It stays valid until the next
+    [modulate] or [run] on this domain, and the caller must not write
+    to it or hand it to another domain.  This is the one exception to
+    the rule that the chain returns fresh arrays (DESIGN §15 rule (d)):
+    modulator-only measurements read the record in place. *)
+
+val baseband :
+  ?digital:Decimator.config -> ?slice:bool -> float array -> n:int -> float array * float array
+(** The digital half of {!run}: the fs/4 mixer and the decimator on the
+    last [n] samples of a bitstream (typically {!modulate}'s result).
+    Returns the decimated (i, q) channels, freshly allocated.
+    [digital] and [slice] as in {!run}. *)
 
 val test_tone_frequency : t -> n:int -> float
 (** The single-tone test frequency used throughout the evaluation: a

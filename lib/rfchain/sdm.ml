@@ -155,6 +155,11 @@ let k2 = -2.0
 let runs = Telemetry.Counter.make "sdm.runs"
 let steps = Telemetry.Counter.make "sdm.steps"
 
+(* Which inner loop a run took.  The choice is a function of the word
+   and the die, so the pair does not depend on the lane. *)
+let fused_runs = Telemetry.Counter.make "sdm.path.fused"
+let generic_runs = Telemetry.Counter.make "sdm.path.generic"
+
 (* Decision history length for the feedback DAC: a power of two so the
    circular index is a mask, deep enough for the largest delay code. *)
 let hist_len = 8
@@ -167,7 +172,7 @@ let hist_mask = hist_len - 1
    and comparator states live in local floats (the recurrences are
    replicated expression-for-expression from [Circuit.Resonator] and
    [Circuit.Comparator], so the output is bit-identical to the generic
-   path); noise is pre-filled per run; the history shift is a masked
+   path); noise comes pre-filled; the history shift is a masked
    circular index.  Array accesses are unsafe after one bounds check
    ([input], [output], and both noise buffers have length >= n). *)
 let run_fused t ~n ~comp_noise_sigma ~d_int ~d_frac ~comp_buf ~input_buf input output =
@@ -247,13 +252,11 @@ let run_into t input output =
   Telemetry.Counter.add steps n;
   Telemetry.Span.with_ ~name:"sdm.run" (fun () ->
   let cfg = t.config in
-  let comp_noise = Circuit.Process.noise_stream t.chip ~name:"run.comp" in
   (* Without the clock the latch never regenerates: its full
      input-referred noise shows up on the buffered output. *)
   let comp_noise_sigma =
     if cfg.comp_clock_enable then t.comp_noise_sigma else Float.max t.comp_noise_sigma 0.05
   in
-  let input_noise = Circuit.Process.noise_stream t.chip ~name:"run.input" in
   let d_int = min (hist_len - 2) (int_of_float (Float.floor t.delay_samples)) in
   let d_frac = t.delay_samples -. float_of_int d_int in
   let fused =
@@ -261,16 +264,19 @@ let run_into t input output =
     && (not cfg.cal_buffer_enable) && comp_noise_sigma > 0.0
   in
   if fused then begin
-    (* Pre-fill both per-run noise streams (each stream is private to
-       this run, so batching the draws preserves the exact sequence). *)
-    let ws = Sigkit.Workspace.get () in
-    let comp_buf = Sigkit.Workspace.arr ws ~slot:8 ~len:n in
-    let input_buf = Sigkit.Workspace.arr ws ~slot:9 ~len:n in
-    Sigkit.Rng.gaussian_fill comp_noise comp_buf ~n;
-    Sigkit.Rng.gaussian_fill input_noise input_buf ~n;
+    Telemetry.Counter.incr fused_runs;
+    (* Both noise streams as pre-filled batches: each stream restarts at
+       its origin every run, so batching the draws preserves the exact
+       sequence, and consecutive runs of one die at one length share
+       the batches through their tagged slots. *)
+    let comp_buf = Circuit.Process.noise_batch t.chip ~name:"run.comp" ~slot:8 ~n in
+    let input_buf = Circuit.Process.noise_batch t.chip ~name:"run.input" ~slot:9 ~n in
     run_fused t ~n ~comp_noise_sigma ~d_int ~d_frac ~comp_buf ~input_buf input output
   end
   else begin
+    Telemetry.Counter.incr generic_runs;
+    let comp_noise = Circuit.Process.noise_stream t.chip ~name:"run.comp" in
+    let input_noise = Circuit.Process.noise_stream t.chip ~name:"run.input" in
     (* Generic path: calibration buffer mode, open-loop and ablation
        configurations.  Same structure as the fused loop but through
        the circuit modules, with noise drawn sample by sample. *)

@@ -41,8 +41,12 @@ val run_into : t -> float array -> float array -> unit
     into the first [Array.length input] cells of [output] (which must be
     at least that long; every cell in that range is overwritten, so a
     stale scratch buffer is fine).  [output] must not alias [input].
-    Uses {!Sigkit.Workspace} slots 8-9 for the per-run noise batches;
-    bit-identical to {!run}. *)
+    On the fused loop (clocked comparator, loop closed, input on,
+    calibration buffer out) the noise batches come from the tagged
+    {!Sigkit.Workspace} slots 8-9 through
+    {!Circuit.Process.noise_batch}; every other word draws sample by
+    sample.  Each run bumps the [sdm.path.fused] or [sdm.path.generic]
+    counter accordingly.  Bit-identical to {!run}. *)
 
 val tank_frequency : t -> float
 (** True resonance frequency of the (first) tank under this die and

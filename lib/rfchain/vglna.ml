@@ -81,12 +81,12 @@ let run_inplace t ~code buf =
   check_code code;
   let s = setup t ~code in
   let n = Array.length buf in
-  (* The noise stream is freshly split per run (as Noise_source.create
-     would), and gaussian_fill draws the same sequence as the per-sample
-     Noise_source.sample calls it replaces. *)
-  let stream = Circuit.Process.noise_stream t.chip ~name:s.noise_name in
-  let nbuf = Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:noise_slot ~len:n in
-  Sigkit.Rng.gaussian_fill stream nbuf ~n;
+  (* The noise stream restarts at its origin every run (as
+     Noise_source.create would), so every run of this die and code at
+     this length reads the same batch: drawn once, then kept in the
+     tagged slot.  gaussian_fill draws the same sequence as the
+     per-sample Noise_source.sample calls it replaces. *)
+  let nbuf = Circuit.Process.noise_batch t.chip ~name:s.noise_name ~slot:noise_slot ~n in
   let sigma = s.noise_sigma in
   let a1, a2, a3, rail = Circuit.Nonlinear.coefficients s.stage in
   let railed = Float.is_finite rail in

@@ -38,5 +38,7 @@ val run : t -> code:int -> float array -> float array
 
 val run_inplace : t -> code:int -> float array -> unit
 (** Arena variant: amplify the record in place (the stage is pointwise,
-    so input and output share the buffer).  Uses {!Sigkit.Workspace}
-    slot 13 for the batched noise draw; bit-identical to {!run}. *)
+    so input and output share the buffer).  Takes its noise batch from
+    {!Sigkit.Workspace} slot 13 through {!Circuit.Process.noise_batch},
+    so consecutive runs of one die at one code and length draw it only
+    once; bit-identical to {!run}. *)

@@ -8,17 +8,17 @@ type t = {
 let periodograms = Telemetry.Counter.make "spectrum.periodograms"
 
 (* The whole pipeline — window, pack, real FFT, one-sided fold — runs
-   in the calling domain's workspace; only the returned [power] array
-   is allocated.  The seed path allocated 5+ arrays per call (record
+   in the calling domain's workspace, reading the record window in
+   place; only the returned [power] array is allocated.  The seed path allocated 5+ arrays per call (record
    copy, windowed copy, re/im pair, |X|^2) and ran a full complex
    transform where the packed n/2 one suffices for real input. *)
-let periodogram ?(window = Window.Hann) ~fs x =
+let periodogram ?(window = Window.Hann) ?(pos = 0) ?len ~fs x =
   Telemetry.Counter.incr periodograms;
   Telemetry.Span.with_ ~name:"spectrum.periodogram" (fun () ->
-  let n =
-    let len = Array.length x in
-    if Fft.is_pow2 len then len else Fft.next_pow2 len / 2
-  in
+  let len = match len with Some l -> l | None -> Array.length x - pos in
+  if pos < 0 || len < 0 || pos + len > Array.length x then
+    invalid_arg "Spectrum.periodogram: window outside the record";
+  let n = if Fft.is_pow2 len then len else Fft.next_pow2 len / 2 in
   if n < 2 then invalid_arg "Spectrum.periodogram: record too short";
   let m = n / 2 in
   let half = m + 1 in
@@ -29,8 +29,8 @@ let periodogram ?(window = Window.Hann) ~fs x =
   (* Windowing fused with the even/odd packing of the real transform. *)
   for k = 0 to m - 1 do
     let e = 2 * k in
-    Array.unsafe_set zre k (Array.unsafe_get x e *. Array.unsafe_get w e);
-    Array.unsafe_set zim k (Array.unsafe_get x (e + 1) *. Array.unsafe_get w (e + 1))
+    Array.unsafe_set zre k (Array.unsafe_get x (pos + e) *. Array.unsafe_get w e);
+    Array.unsafe_set zim k (Array.unsafe_get x (pos + e + 1) *. Array.unsafe_get w (e + 1))
   done;
   let re = Workspace.arr ws ~slot:4 ~len:half in
   let im = Workspace.arr ws ~slot:5 ~len:half in

@@ -12,10 +12,12 @@ type t = {
   window : Window.kind;
 }
 
-val periodogram : ?window:Window.kind -> fs:float -> float array -> t
+val periodogram : ?window:Window.kind -> ?pos:int -> ?len:int -> fs:float -> float array -> t
 (** [periodogram ~fs x] estimates the spectrum of [x].  The record is
     truncated to the largest power-of-two prefix.  Default window is
-    Hann. *)
+    Hann.  [pos] and [len] (defaults: 0 and the rest of [x]) select
+    the record [x.(pos) .. x.(pos + len - 1)], read in place without a
+    copy; the result equals the periodogram of that sub-array. *)
 
 val bin_of_freq : t -> float -> int
 (** Nearest bin index for a frequency in hertz (clamped to range). *)

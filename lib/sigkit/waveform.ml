@@ -1,21 +1,34 @@
-let tone ~amplitude ~freq ~fs ?(phase = 0.0) n =
+(* Every tone writer goes through this loop, so the allocating and the
+   in-place stimuli are one expression.  [add] sums the tone onto
+   [out] instead of overwriting it.  Explicit fill: Array.init would
+   box every sample through the closure. *)
+let write_tone ~add ~amplitude ~freq ~fs ~phase out =
   let w = 2.0 *. Float.pi *. freq /. fs in
-  (* Explicit fill: Array.init would box every sample through the
-     closure, and test tones are synthesised once per evaluation. *)
+  for i = 0 to Array.length out - 1 do
+    let v = amplitude *. sin ((w *. float_of_int i) +. phase) in
+    Array.unsafe_set out i (if add then Array.unsafe_get out i +. v else v)
+  done
+
+let tone_into ~amplitude ~freq ~fs ?(phase = 0.0) out =
+  write_tone ~add:false ~amplitude ~freq ~fs ~phase out
+
+let tone ~amplitude ~freq ~fs ?(phase = 0.0) n =
   let out = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    Array.unsafe_set out i (amplitude *. sin ((w *. float_of_int i) +. phase))
-  done;
+  tone_into ~amplitude ~freq ~fs ~phase out;
   out
 
 let tone_dbm ~p_dbm ~freq ~fs ?(phase = 0.0) n =
   tone ~amplitude:(Decibel.amplitude_of_dbm p_dbm) ~freq ~fs ~phase n
 
+let two_tone_dbm_into ~p_dbm ~f1 ~f2 ~fs out =
+  let amplitude = Decibel.amplitude_of_dbm p_dbm in
+  write_tone ~add:false ~amplitude ~freq:f1 ~fs ~phase:0.0 out;
+  write_tone ~add:true ~amplitude ~freq:f2 ~fs ~phase:(Float.pi /. 3.0) out
+
 let two_tone_dbm ~p_dbm ~f1 ~f2 ~fs n =
-  let a = Decibel.amplitude_of_dbm p_dbm in
-  let t1 = tone ~amplitude:a ~freq:f1 ~fs n in
-  let t2 = tone ~amplitude:a ~freq:f2 ~fs ~phase:(Float.pi /. 3.0) n in
-  Array.mapi (fun i x -> x +. t2.(i)) t1
+  let out = Array.make n 0.0 in
+  two_tone_dbm_into ~p_dbm ~f1 ~f2 ~fs out;
+  out
 
 let add a b =
   if Array.length a <> Array.length b then invalid_arg "Waveform.add: length mismatch";

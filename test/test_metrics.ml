@@ -127,6 +127,145 @@ let test_measure_mod_output () =
   let record = Metrics.Measure.mod_output bench Rfchain.Config.nominal in
   Alcotest.(check int) "8192-point record" 8192 (Array.length record)
 
+(* Measurements read the die's noise batches and the stimuli from
+   tagged scratch and skip the digital section where they can.  The
+   reference is the plain path: a fresh stimulus from [Waveform], the
+   whole [Receiver.run], and an arena released first so that no tagged
+   slot can serve it. *)
+module Reference = struct
+  let osr = Rfchain.Standards.oversampling_ratio
+  let p_dbm = -25.0
+
+  let tone rx config ~p_dbm ~n =
+    Sigkit.Workspace.release ();
+    let freq = Rfchain.Receiver.test_tone_frequency rx ~n in
+    let input = Sigkit.Waveform.tone_dbm ~p_dbm ~freq ~fs:(Rfchain.Receiver.fs rx) n in
+    (freq, Rfchain.Receiver.run rx ~analog:config ~input ())
+
+  let snr_mod rx config =
+    let freq, res = tone rx config ~p_dbm ~n:Metrics.Snr.default_fft_points in
+    Metrics.Snr.of_bandpass ~fs:res.Rfchain.Receiver.fs ~f_signal:freq ~osr
+      res.Rfchain.Receiver.mod_output
+
+  let snr_mod_verified rx config =
+    let tone_power p_dbm =
+      let freq, res = tone rx config ~p_dbm ~n:Metrics.Snr.default_fft_points in
+      Sigkit.Spectrum.tone_power
+        (Sigkit.Spectrum.periodogram ~fs:res.Rfchain.Receiver.fs res.Rfchain.Receiver.mod_output)
+        ~freq
+    in
+    let p_hi = tone_power p_dbm in
+    let p_lo = tone_power (p_dbm -. 6.0) in
+    let drop_db = Sigkit.Decibel.db_of_power_ratio (p_hi /. Float.max 1e-300 p_lo) in
+    if Float.abs (drop_db -. 6.0) > 3.0 then neg_infinity else snr_mod rx config
+
+  let snr_rx rx config =
+    let n_fft = 2048 in
+    let freq, res =
+      tone rx config ~p_dbm ~n:(n_fft * Rfchain.Decimator.ratio Rfchain.Decimator.default_config)
+    in
+    let band = Rfchain.Standards.band_hz (Rfchain.Receiver.standard rx) in
+    Metrics.Snr.of_baseband_iq ~n_fft ~fs:res.Rfchain.Receiver.fs_baseband
+      ~f_signal:(freq -. (res.Rfchain.Receiver.fs /. 4.0))
+      ~f_band:(band /. 2.0)
+      (res.Rfchain.Receiver.baseband_i, res.Rfchain.Receiver.baseband_q)
+
+  let sfdr rx config =
+    Sigkit.Workspace.release ();
+    let n = Metrics.Snr.default_fft_points and fs = Rfchain.Receiver.fs rx in
+    let f0 = (Rfchain.Receiver.standard rx).Rfchain.Standards.f0_hz in
+    let f1, f2 = Metrics.Sfdr.tones_for ~f0 ~fs ~n in
+    let input = Sigkit.Waveform.two_tone_dbm ~p_dbm ~f1 ~f2 ~fs n in
+    let res = Rfchain.Receiver.run rx ~analog:config ~input () in
+    Metrics.Sfdr.of_bandpass ~fs ~f1 ~f2 ~osr res.Rfchain.Receiver.mod_output
+end
+
+let test_measure_matches_receiver_run () =
+  let std = Rfchain.Standards.max_frequency in
+  let rx seed = Rfchain.Receiver.create (Circuit.Process.fabricate ~seed ()) std in
+  let a = rx 9 and b = rx 23 in
+  (* A calibrated key, so that the verified metric passes its
+     linearity guard and re-measures. *)
+  let key = Calibration.Calibrate.quick a in
+  let nominal = Rfchain.Config.nominal in
+  let low_gain = { nominal with vglna_gain = 4 } in
+  let open_loop = { nominal with fb_enable = false } in
+  if not (Float.is_finite (Reference.snr_mod_verified a key)) then
+    Alcotest.fail "the calibrated key must pass the linearity guard";
+  (* Each metric: name, the measured value(s) on a fresh bench, the
+     reference value(s). *)
+  let metric name measure reference =
+    (name, (fun rx c -> measure (Metrics.Measure.create rx) c), reference)
+  in
+  let snr_mod =
+    metric "Snr_mod"
+      (fun m c -> [ Metrics.Measure.snr_mod_db m c ])
+      (fun rx c -> [ Reference.snr_mod rx c ])
+  in
+  let verified =
+    metric "Snr_mod_verified"
+      (fun m c -> [ Metrics.Measure.snr_mod_verified_db m c ])
+      (fun rx c -> [ Reference.snr_mod_verified rx c ])
+  in
+  let snr_rx =
+    metric "Snr_rx"
+      (fun m c -> [ Metrics.Measure.snr_rx_db m c ])
+      (fun rx c -> [ Reference.snr_rx rx c ])
+  in
+  let sfdr =
+    metric "Sfdr" (fun m c -> [ Metrics.Measure.sfdr_db m c ]) (fun rx c -> [ Reference.sfdr rx c ])
+  in
+  let full =
+    metric "Full"
+      (fun m c ->
+        let r = Metrics.Measure.full m c in
+        [ r.snr_mod_db; r.snr_rx_db; Option.get r.sfdr_db ])
+      (fun rx c -> [ Reference.snr_mod rx c; Reference.snr_rx rx c; Reference.sfdr rx c ])
+  in
+  (* Dies and metrics interleaved on one domain; repeats are tag hits. *)
+  let schedule =
+    [
+      (a, nominal, snr_mod); (a, nominal, snr_mod); (b, nominal, snr_mod); (a, low_gain, snr_mod);
+      (a, nominal, sfdr); (a, nominal, sfdr); (b, nominal, sfdr); (b, open_loop, snr_mod);
+      (b, open_loop, snr_mod); (a, key, verified); (a, key, verified); (b, nominal, verified);
+      (a, nominal, snr_rx); (a, key, snr_mod); (b, low_gain, snr_rx); (b, nominal, full);
+      (a, key, full); (a, key, snr_mod);
+    ]
+  in
+  (* Measure everything first, so the tags of one trial meet the next. *)
+  let measured = List.map (fun (rx, c, (_, measure, _)) -> measure rx c) schedule in
+  let bits = List.map Int64.bits_of_float in
+  List.iteri
+    (fun i ((rx, c, (name, _, reference)), got) ->
+      if bits got <> bits (reference rx c) then
+        Alcotest.failf "step %d (%s) differs from the Receiver.run path" i name)
+    (List.combine schedule measured)
+
+(* Retention: a long capture's scratch is dropped by the next short
+   eval.  Short evals rewrite every slot the long one grew except the
+   CIC intermediate (slot 12), whose length is the capture's
+   n / (decimation ratio / 2). *)
+let test_measure_scratch_retention () =
+  let rx =
+    Rfchain.Receiver.create (Circuit.Process.fabricate ~seed:9 ()) Rfchain.Standards.max_frequency
+  in
+  let bench = Metrics.Measure.create rx in
+  let config = Rfchain.Config.nominal in
+  let ws = Sigkit.Workspace.get () in
+  Sigkit.Workspace.release ();
+  ignore (Metrics.Measure.snr_mod_db bench config);
+  ignore (Metrics.Measure.sfdr_db bench config);
+  let short = Sigkit.Workspace.footprint ws in
+  let ratio = Rfchain.Decimator.ratio Rfchain.Decimator.default_config in
+  let n = 2048 * ratio in
+  ignore (Metrics.Measure.snr_rx_db ~n_fft:2048 bench config);
+  let long = Sigkit.Workspace.footprint ws in
+  if long - short < 6 * (n - Metrics.Snr.default_fft_points - 1024) then
+    Alcotest.failf "the long capture was not held while current (%d -> %d)" short long;
+  ignore (Metrics.Measure.snr_mod_db bench config);
+  Alcotest.(check int) "back at the short-eval footprint" (short + (n / (ratio / 2)))
+    (Sigkit.Workspace.footprint ws)
+
 let prop_spec_distance_nonneg =
   QCheck.Test.make ~name:"spec distance is non-negative" ~count:200
     QCheck.(triple (float_range (-200.) 100.) (float_range (-200.) 100.) (float_range (-200.) 100.))
@@ -169,6 +308,8 @@ let () =
         [
           Alcotest.test_case "trial counting" `Quick test_measure_counts_trials;
           Alcotest.test_case "mod output" `Quick test_measure_mod_output;
+          Alcotest.test_case "matches the Receiver.run path" `Quick test_measure_matches_receiver_run;
+          Alcotest.test_case "long capture scratch is dropped" `Quick test_measure_scratch_retention;
         ] );
       ("properties", qcheck [ prop_spec_distance_nonneg; prop_spec_functional_iff_zero ]);
     ]

@@ -402,7 +402,8 @@ let prop_arena_chain_identity =
 let test_arena_slots_distinct () =
   (* The chain's documented slot map (DESIGN §15): every stage that is
      live at the same time must hold a physically distinct scratch
-     array, including the slots whose lengths coincide. *)
+     array, including the slots whose lengths coincide.  The stimuli
+     (10-11) are live through the whole analog half. *)
   let n = 1024 and settle = 256 in
   let total = settle + n in
   let ws = Sigkit.Workspace.get () in
@@ -412,8 +413,8 @@ let test_arena_slots_distinct () =
       ("mod_full (7)", Sigkit.Workspace.arr ws ~slot:7 ~len:total);
       ("sdm comp noise (8)", Sigkit.Workspace.arr ws ~slot:8 ~len:total);
       ("sdm input noise (9)", Sigkit.Workspace.arr ws ~slot:9 ~len:total);
-      ("mixer i (10)", Sigkit.Workspace.arr ws ~slot:10 ~len:n);
-      ("mixer q (11)", Sigkit.Workspace.arr ws ~slot:11 ~len:n);
+      ("tone stimulus (10)", Sigkit.Workspace.arr ws ~slot:10 ~len:n);
+      ("two-tone stimulus (11)", Sigkit.Workspace.arr ws ~slot:11 ~len:n);
       ("vglna noise (13)", Sigkit.Workspace.arr ws ~slot:13 ~len:total);
     ]
   in
@@ -447,6 +448,58 @@ let test_arena_reuse_across_evals () =
   eval ();
   let dw = Gc.minor_words () -. w0 in
   if dw > 100_000.0 then Alcotest.failf "steady-state eval allocates %.0f minor words" dw
+
+(* A die's noise batch is reused from its tagged slot across runs; it
+   must always equal a fresh draw of the die's stream, for every chip
+   variant of one die (the tag is the seed and the stream name) and
+   with two dies interleaved on one domain. *)
+let prop_noise_batch_identity =
+  QCheck.Test.make ~name:"tagged noise batch equals a fresh draw of the die's stream" ~count:40
+    QCheck.(
+      quad (int_range 1 100_000) (int_range 1 100_000)
+        (oneofl [ "vglna.noise3"; "vglna.noise14"; "run.comp"; "run.input" ])
+        (pair (int_range 1 400) bool))
+    (fun (s1, s2, name, (half, odd)) ->
+      let n = (2 * half) + if odd then 1 else 0 in
+      let fresh c =
+        let b = Array.make n 0.0 in
+        Sigkit.Rng.gaussian_fill (Circuit.Process.noise_stream c ~name) b ~n;
+        b
+      in
+      let variants c =
+        [
+          c;
+          Circuit.Process.age c ~hours:5000.0;
+          Circuit.Process.environment c ~drift:0.02;
+          Circuit.Process.with_offset_bias c ~name:"sdm.comp_offset" ~bias:0.01;
+        ]
+      in
+      let a = variants (chip ~seed:s1 ()) and b = variants (chip ~seed:s2 ()) in
+      (* Each variant twice in a row (a hit), alternating dies. *)
+      let schedule = List.concat (List.map2 (fun x y -> [ x; x; y; y; x ]) a b) in
+      List.for_all
+        (fun c ->
+          let batch = Circuit.Process.noise_batch c ~name ~slot:15 ~n in
+          Array.length batch = n && batch = fresh c)
+        schedule)
+
+(* The fused/generic counter pair: one bump per run, on the loop the
+   word selects. *)
+let test_sdm_path_counters () =
+  let counter name = Telemetry.Counter.value (Telemetry.Counter.make name) in
+  let fs = Rfchain.Standards.fs std in
+  let input = Sigkit.Waveform.tone_dbm ~p_dbm:(-25.0) ~freq:3.02e9 ~fs 512 in
+  let check label config ~fused =
+    let f0 = counter "sdm.path.fused" and g0 = counter "sdm.path.generic" in
+    ignore (Rfchain.Sdm.run (Rfchain.Sdm.create (chip ()) ~fs config) input);
+    Alcotest.(check int) (label ^ ": sdm.path.fused") (if fused then f0 + 1 else f0)
+      (counter "sdm.path.fused");
+    Alcotest.(check int) (label ^ ": sdm.path.generic") (if fused then g0 else g0 + 1)
+      (counter "sdm.path.generic")
+  in
+  check "nominal word" Rfchain.Config.nominal ~fused:true;
+  check "open loop" { Rfchain.Config.nominal with fb_enable = false } ~fused:false;
+  check "cal buffer in path" { Rfchain.Config.nominal with cal_buffer_enable = true } ~fused:false
 
 (* ------------------------------------------------------------ Properties *)
 
@@ -508,6 +561,7 @@ let () =
           Alcotest.test_case "buffer mode analog" `Quick test_sdm_buffer_mode_analog;
           Alcotest.test_case "gmin disable" `Quick test_sdm_gmin_disable;
           Alcotest.test_case "oscillation matches tank" `Quick test_sdm_osc_matches_tank;
+          Alcotest.test_case "path counters" `Quick test_sdm_path_counters;
         ] );
       ( "mixer",
         [
@@ -531,6 +585,6 @@ let () =
       ( "arena",
         Alcotest.test_case "slot map is alias-free" `Quick test_arena_slots_distinct
         :: Alcotest.test_case "scratch reuse across evals" `Quick test_arena_reuse_across_evals
-        :: qcheck [ prop_arena_chain_identity ] );
+        :: qcheck [ prop_arena_chain_identity; prop_noise_batch_identity ] );
       ("properties", qcheck [ prop_config_roundtrip; prop_config_with_field; prop_mixer_energy ]);
     ]

@@ -317,6 +317,51 @@ let test_workspace_length_change () =
     (Sigkit.Workspace.arr w ~slot:15 ~len:2048 == fresh);
   Alcotest.(check int) "counted as one new array" (allocs0 + 1) (Sigkit.Workspace.allocations ())
 
+(* Tagged slots: [filled] runs its fill on a miss (length or tag
+   differs) and skips it on a hit; [arr] on the slot and [release]
+   both clear the tag, so the next [filled] refills. *)
+let test_workspace_filled () =
+  let w = Sigkit.Workspace.get () in
+  let fills = ref 0 in
+  let filled ~len ~tag =
+    Sigkit.Workspace.filled w ~slot:15 ~len ~tag ~fill:(fun a ->
+        incr fills;
+        Array.fill a 0 (Array.length a) (float_of_int (String.length tag)))
+  in
+  ignore (Sigkit.Workspace.arr w ~slot:15 ~len:64);
+  let a = filled ~len:64 ~tag:"a" in
+  Alcotest.(check int) "an untagged slot is filled" 1 !fills;
+  Alcotest.(check bool) "filled with the tag's contents" true (Array.for_all (( = ) 1.0) a);
+  let a' = filled ~len:64 ~tag:"a" in
+  Alcotest.(check int) "a hit skips the fill" 1 !fills;
+  Alcotest.(check bool) "and returns the same array" true (a == a');
+  ignore (filled ~len:64 ~tag:"bb");
+  Alcotest.(check int) "another tag refills" 2 !fills;
+  let b = filled ~len:32 ~tag:"bb" in
+  Alcotest.(check int) "another length refills" 3 !fills;
+  Alcotest.(check int) "at the new length" 32 (Array.length b);
+  Alcotest.(check bool) "with the tag's contents" true (Array.for_all (( = ) 2.0) b);
+  ignore (Sigkit.Workspace.arr w ~slot:15 ~len:32);
+  ignore (filled ~len:32 ~tag:"bb");
+  Alcotest.(check int) "arr on the slot clears its tag" 4 !fills;
+  ignore (Sigkit.Workspace.arr w ~slot:14 ~len:8);
+  ignore (filled ~len:32 ~tag:"bb");
+  Alcotest.(check int) "arr on another slot leaves it" 4 !fills;
+  Sigkit.Workspace.release ();
+  ignore (filled ~len:32 ~tag:"bb");
+  Alcotest.(check int) "release clears every tag" 5 !fills;
+  (* A fill that raises leaves the slot untagged. *)
+  (try
+     ignore
+       (Sigkit.Workspace.filled w ~slot:15 ~len:32 ~tag:"c" ~fill:(fun _ -> failwith "fill"))
+   with Failure _ -> ());
+  ignore (filled ~len:32 ~tag:"bb");
+  Alcotest.(check int) "a failed fill refills next time" 6 !fills;
+  ignore (Sigkit.Workspace.arr w ~slot:14 ~len:8);
+  Alcotest.(check int) "footprint sums the slot lengths" (32 + 8) (Sigkit.Workspace.footprint w);
+  Sigkit.Workspace.release ();
+  Alcotest.(check int) "nothing held after release" 0 (Sigkit.Workspace.footprint w)
+
 (* Two domains running the workspace-backed measurement path
    concurrently must reproduce the sequential results bit for bit:
    each domain owns a private DLS arena, so there is no sharing to
@@ -394,6 +439,46 @@ let test_waveform_two_tone () =
   (* Two equal tones carry twice the power of one. *)
   let p x = Sigkit.Waveform.rms x ** 2.0 in
   check_close ~eps:0.05 "two-tone power" 2.0 (p x /. p single)
+
+(* The in-place writers overwrite stale contents and match the
+   allocating stimuli bit for bit; the two-tone is the sum of two
+   [tone]s, second one at phase pi/3. *)
+let test_waveform_in_place () =
+  let fs = 1e6 and n = 1001 in
+  let dirty () = Array.make n nan in
+  let out = dirty () in
+  Sigkit.Waveform.tone_into ~amplitude:0.7 ~freq:31e3 ~fs ~phase:0.2 out;
+  Alcotest.(check bool) "tone_into = tone" true
+    (out = Sigkit.Waveform.tone ~amplitude:0.7 ~freq:31e3 ~fs ~phase:0.2 n);
+  let a = Sigkit.Decibel.amplitude_of_dbm (-25.0) in
+  let t1 = Sigkit.Waveform.tone ~amplitude:a ~freq:50e3 ~fs n in
+  let t2 = Sigkit.Waveform.tone ~amplitude:a ~freq:60e3 ~fs ~phase:(Float.pi /. 3.0) n in
+  let sum = Array.mapi (fun i x -> x +. t2.(i)) t1 in
+  let out = dirty () in
+  Sigkit.Waveform.two_tone_dbm_into ~p_dbm:(-25.0) ~f1:50e3 ~f2:60e3 ~fs out;
+  Alcotest.(check bool) "two_tone_dbm_into = tone + tone" true (out = sum);
+  Alcotest.(check bool) "two_tone_dbm = tone + tone" true
+    (Sigkit.Waveform.two_tone_dbm ~p_dbm:(-25.0) ~f1:50e3 ~f2:60e3 ~fs n = sum)
+
+(* A window read in place equals the periodogram of the copied
+   sub-array, power-of-two truncation included. *)
+let test_spectrum_window () =
+  let rng = Sigkit.Rng.create 5 in
+  let x = Array.init 3000 (fun _ -> Sigkit.Rng.gaussian rng) in
+  let power s = s.Sigkit.Spectrum.power in
+  List.iter
+    (fun (pos, len) ->
+      let whole = Sigkit.Spectrum.periodogram ~fs:1e6 (Array.sub x pos len) in
+      let window = Sigkit.Spectrum.periodogram ~pos ~len ~fs:1e6 x in
+      Alcotest.(check bool) (Printf.sprintf "window %d+%d" pos len) true
+        (power whole = power window && whole.n = window.n))
+    [ (0, 2048); (952, 2048); (7, 1500); (2000, 1000) ];
+  Alcotest.(check bool) "pos alone reads to the end" true
+    (power (Sigkit.Spectrum.periodogram ~pos:952 ~fs:1e6 x)
+    = power (Sigkit.Spectrum.periodogram ~fs:1e6 (Array.sub x 952 2048)));
+  Alcotest.check_raises "window past the end"
+    (Invalid_argument "Spectrum.periodogram: window outside the record") (fun () ->
+      ignore (Sigkit.Spectrum.periodogram ~pos:2000 ~len:1001 ~fs:1e6 x))
 
 let test_coherent_frequency () =
   let f = Sigkit.Waveform.coherent_frequency ~freq:100e3 ~fs:1e6 ~n:1024 in
@@ -523,6 +608,7 @@ let () =
           Alcotest.test_case "window table memoization" `Quick test_window_table_memoized;
           Alcotest.test_case "workspace reuse" `Quick test_workspace_reuse;
           Alcotest.test_case "workspace length change" `Quick test_workspace_length_change;
+          Alcotest.test_case "workspace tagged slots" `Quick test_workspace_filled;
           Alcotest.test_case "workspace across domains" `Quick test_workspace_domains;
         ] );
       ( "spectrum",
@@ -531,11 +617,13 @@ let () =
           Alcotest.test_case "band split" `Quick test_spectrum_band_split;
           Alcotest.test_case "exclusion" `Quick test_spectrum_exclusion;
           Alcotest.test_case "peak search" `Quick test_spectrum_peak;
+          Alcotest.test_case "window read in place" `Quick test_spectrum_window;
         ] );
       ( "waveform",
         [
           Alcotest.test_case "rms" `Quick test_waveform_rms;
           Alcotest.test_case "two-tone power" `Quick test_waveform_two_tone;
+          Alcotest.test_case "in-place writers" `Quick test_waveform_in_place;
           Alcotest.test_case "coherent frequency" `Quick test_coherent_frequency;
         ] );
       ( "properties",
