@@ -168,11 +168,13 @@ let bench_engine_hit () =
 let bench_engine_miss () =
   ignore (Engine.Service.eval ~engine:(Lazy.force engine_uncached) (Lazy.force engine_request))
 
-(* [engine:cache-miss] re-evaluates the golden key on one die, so its
-   noise batches and stimulus come from tagged scratch and the fused
-   modulator loop runs.  An attack's common case is a new random key
-   per query: mostly the generic loop, and a VGLNA noise batch that is
-   reused only when consecutive keys share the gain code. *)
+(* [engine:cache-miss] re-evaluates the golden key on one die, so it
+   times the memo-hit path: the VGLNA-conditioned stimulus comes from
+   tagged scratch, the die's draws from the per-domain memo, and what
+   runs is the fused modulator loop and the spectrum.  An attack's
+   common case is a new random key per query: mostly the generic loop,
+   and a front end that is reused only when consecutive keys share the
+   gain code (1 in 16). *)
 let miss_random_rng = lazy (Sigkit.Rng.create 0xC0FFEE)
 
 let bench_engine_miss_random () =
@@ -188,6 +190,93 @@ let bench_engine_miss_random () =
 
 let bench_engine_batch engine () =
   ignore (Engine.Service.eval_batch ~engine:(Lazy.force engine) (Lazy.force engine_batch))
+
+(* STAGE kernels: one stage of an eval each, on the reference die's
+   8192-point test tone with the default 1024-sample settle prefix, the
+   record a [Snr_mod] eval runs.  Each times its stage alone, on
+   buffers allocated once here, and says which path it takes. *)
+let stage_n = 8192
+let stage_settle = 1024
+
+(* The settle-extended stimulus, the VGLNA-conditioned record under the
+   golden word, and that record's bitstream. *)
+let stage_records =
+  lazy
+    (let c = Lazy.force ctx in
+     let rx = c.Experiments.Context.rx in
+     let x = Lazy.force stimulus in
+     let extended =
+       Array.init (stage_settle + stage_n) (fun i -> x.((i + stage_n - stage_settle) mod stage_n))
+     in
+     let vglna = Rfchain.Vglna.create c.Experiments.Context.chip ~fs:(Rfchain.Receiver.fs rx) in
+     let conditioned = Array.copy extended in
+     Rfchain.Vglna.run_inplace vglna ~code:c.Experiments.Context.golden.vglna_gain conditioned;
+     let bits =
+       Rfchain.Sdm.run (Rfchain.Receiver.sdm_of_config rx c.Experiments.Context.golden) conditioned
+     in
+     (vglna, extended, conditioned, bits))
+
+let stage_buf = lazy (Array.make (stage_settle + stage_n) 0.0)
+
+(* The bitstream's last 8192 samples mixed to I/Q: written here once,
+   and again (identically) by every [stage:mixer] run. *)
+let stage_iq =
+  lazy
+    (let _, _, _, bits = Lazy.force stage_records in
+     let i_out = Array.make stage_n 0.0 and q_out = Array.make stage_n 0.0 in
+     Rfchain.Mixer.downconvert_into ~slice:true bits ~pos:stage_settle ~n:stage_n ~i_out ~q_out;
+     (i_out, q_out))
+
+(* [stage:vglna]: the front end's miss cost without the settle copy —
+   one record copy, then the amplifier in place.  Its noise batch is a
+   tag hit (slot 13), as on every eval of one die and code. *)
+let bench_stage_vglna () =
+  let c = Lazy.force ctx in
+  let vglna, extended, _, _ = Lazy.force stage_records in
+  let buf = Lazy.force stage_buf in
+  Array.blit extended 0 buf 0 (Array.length extended);
+  Rfchain.Vglna.run_inplace vglna ~code:c.Experiments.Context.golden.vglna_gain buf
+
+(* [stage:sdm-fused]: the golden word, so the fused loop with its noise
+   batches from tagged scratch (slots 8-9). *)
+let bench_stage_sdm_fused () =
+  let c = Lazy.force ctx in
+  let _, _, conditioned, _ = Lazy.force stage_records in
+  Rfchain.Sdm.run_into
+    (Rfchain.Receiver.sdm_of_config c.Experiments.Context.rx c.Experiments.Context.golden)
+    conditioned (Lazy.force stage_buf)
+
+(* [stage:sdm-generic]: the first seeded random word that the fused
+   loop does not take (the attacks' common case), drawing its noise
+   sample by sample. *)
+let generic_word =
+  lazy
+    (let rng = Sigkit.Rng.create 0xC0FFEE in
+     let rec next () =
+       let w = Rfchain.Config.random rng in
+       if w.comp_clock_enable && w.fb_enable && w.gmin_enable && not w.cal_buffer_enable then next ()
+       else w
+     in
+     next ())
+
+let bench_stage_sdm_generic () =
+  let c = Lazy.force ctx in
+  let _, _, conditioned, _ = Lazy.force stage_records in
+  Rfchain.Sdm.run_into
+    (Rfchain.Receiver.sdm_of_config c.Experiments.Context.rx (Lazy.force generic_word))
+    conditioned (Lazy.force stage_buf)
+
+(* [stage:mixer]: the sliced fs/4 mix of the bitstream's last 8192
+   samples into I/Q. *)
+let bench_stage_mixer () =
+  let _, _, _, bits = Lazy.force stage_records in
+  let i_out, q_out = Lazy.force stage_iq in
+  Rfchain.Mixer.downconvert_into ~slice:true bits ~pos:stage_settle ~n:stage_n ~i_out ~q_out
+
+(* [stage:decimator]: the default CIC + half-band decimation of those
+   I/Q channels. *)
+let bench_stage_decimator () =
+  ignore (Rfchain.Decimator.run_iq Rfchain.Decimator.default_config (Lazy.force stage_iq))
 
 (* POOL kernel: the sharded scheduler's own claim/steal overhead,
    isolated from the simulator.  An eager 4-lane pool runs 256 no-op
@@ -285,6 +374,13 @@ let tests =
     Test.make ~name:"engine:cache-hit" (Staged.stage bench_engine_hit);
     Test.make ~name:"engine:cache-miss" (Staged.stage bench_engine_miss);
     Test.make ~name:"engine:cache-miss-random" (Staged.stage bench_engine_miss_random);
+    (* The stage kernels run before the batch kernels create any pool,
+       so no parked domain joins their minor collections (§13). *)
+    Test.make ~name:"stage:vglna" (Staged.stage bench_stage_vglna);
+    Test.make ~name:"stage:sdm-fused" (Staged.stage bench_stage_sdm_fused);
+    Test.make ~name:"stage:sdm-generic" (Staged.stage bench_stage_sdm_generic);
+    Test.make ~name:"stage:mixer" (Staged.stage bench_stage_mixer);
+    Test.make ~name:"stage:decimator" (Staged.stage bench_stage_decimator);
     Test.make ~name:"engine:batch8-1domain" (Staged.stage (bench_engine_batch engine_uncached));
     Test.make ~name:"engine:batch8-2domains" (Staged.stage (bench_engine_batch engine_pool2));
     Test.make ~name:"engine:batch8-4domains" (Staged.stage (bench_engine_batch engine_pool4));
@@ -350,6 +446,28 @@ let compare_against ~baseline_path ~require_all results =
       exit 4
     end
 
+(* Minor words one run of [test] allocates on the calling domain,
+   counted with [Gc.minor_words] over [runs] runs after one warm-up run
+   (the steady state bechamel samples too); [nan] for a test that is
+   not one plain function. *)
+let counted_minor_words ~runs test =
+  match Test.elements test with
+  | [ elt ] -> (
+    match Test.Elt.fn elt with
+    | Test.V { fn; kind = Test.Uniq; allocate; free } ->
+      let resource = allocate () in
+      let arg = Test.Uniq.prj resource in
+      ignore (Sys.opaque_identity (fn `Init arg));
+      let before = Gc.minor_words () in
+      for _ = 1 to runs do
+        ignore (Sys.opaque_identity (fn `Init arg))
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int runs in
+      free resource;
+      words
+    | Test.V { kind = Test.Multiple; _ } -> nan)
+  | _ -> nan
+
 let run_benchmarks ~fast ~json ~out ~compare_to ~only () =
   print_endline "## Bechamel timings (one Test per figure/table kernel)";
   let limit, quota = if fast then (20, 0.25) else (50, 1.0) in
@@ -408,17 +526,38 @@ let run_benchmarks ~fast ~json ~out ~compare_to ~only () =
   (* Absolute allocation budgets (make alloc-smoke): unlike the
      baseline gate these are baseline-free, so a regenerated
      BENCH_4.json cannot quietly ratchet a reintroduced per-stage
-     copy into the committed "normal". *)
+     copy into the committed "normal".  A budget holds against the
+     larger of bechamel's estimate and a direct count: the OLS
+     estimate reads 0 for kernels that allocate a few thousand words a
+     run, and the direct count sees only the calling domain. *)
+  let counted =
+    List.filter_map
+      (fun (name, ns, mwd) ->
+        Option.map
+          (fun budget ->
+            let words =
+              counted_minor_words ~runs:20 (List.find (fun t -> Test.name t = name) selected)
+            in
+            (name, ns, mwd, words, budget))
+          (Benchkit.Bench_json.budget_for name))
+      results
+  in
   let budgeted =
     Benchkit.Bench_json.check_budgets
       (List.map
-         (fun (name, ns, mwd) ->
-           { Benchkit.Bench_json.name; ns_per_run = ns; minor_words_per_run = mwd })
-         results)
+         (fun (name, ns, mwd, words, _) ->
+           { Benchkit.Bench_json.name; ns_per_run = ns;
+             minor_words_per_run = Float.max_num mwd words })
+         counted)
   in
   if budgeted <> [] then begin
     let bad = Benchkit.Bench_json.regressions budgeted in
     Printf.printf "\n## Allocation budgets (arena-converted kernels)\n";
+    List.iter
+      (fun (name, _, mwd, words, budget) ->
+        Printf.printf "  %-28s counted %8.0f  bechamel %8.0f  budget %8.0f words / run\n" name
+          words mwd budget)
+      counted;
     List.iter
       (fun c -> Printf.printf "  %s\n" (Benchkit.Bench_json.verdict_to_string c))
       (if bad = [] then budgeted else bad);

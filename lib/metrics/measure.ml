@@ -24,18 +24,20 @@ let count_trial t =
    live in tagged workspace slots (DESIGN §15), 10 for the single tone
    and 11 for the two-tone; a tag lists every parameter the samples
    depend on, floats in exact hex, so consecutive trials on one domain
-   under the same stimulus reuse it as written.  The bitstream is the
-   receiver's slot-7 scratch: read it before the next trial. *)
+   under the same stimulus reuse it as written.  The same tag names
+   the stimulus to the receiver, which keeps the VGLNA-conditioned
+   record under it.  The bitstream is the receiver's slot-7 scratch:
+   read it before the next trial. *)
 let modulate_tone t config ~p_dbm ~n =
   count_trial t;
   let fs = Rfchain.Receiver.fs t.rx in
   let freq = Rfchain.Receiver.test_tone_frequency t.rx ~n in
+  let tag = Printf.sprintf "%h:%h:%h" p_dbm freq fs in
   let input =
-    Sigkit.Workspace.filled (Sigkit.Workspace.get ()) ~slot:10 ~len:n
-      ~tag:(Printf.sprintf "%h:%h:%h" p_dbm freq fs)
+    Sigkit.Workspace.filled (Sigkit.Workspace.get ()) ~slot:10 ~len:n ~tag
       ~fill:(Sigkit.Waveform.tone_into ~amplitude:(Sigkit.Decibel.amplitude_of_dbm p_dbm) ~freq ~fs)
   in
-  (freq, Rfchain.Receiver.modulate t.rx ~analog:config ~input ())
+  (freq, Rfchain.Receiver.modulate t.rx ~analog:config ~stimulus:(Tone tag) ~input ())
 
 let mod_output t config =
   let n = Snr.default_fft_points in
@@ -93,12 +95,18 @@ let sfdr_db t config =
       let standard = Rfchain.Receiver.standard t.rx in
       let f1, f2 = Sfdr.tones_for ~f0:standard.Rfchain.Standards.f0_hz ~fs ~n in
       let p_dbm = t.p_dbm in
+      let tag = Printf.sprintf "%h:%h:%h:%h" p_dbm f1 f2 fs in
+      let ws = Sigkit.Workspace.get () in
+      (* A two-tone trial does not write the tone stimulus: drop a long
+         capture's from slot 10 so it does not outlive the capture (the
+         receiver does the same for its slots 6 and 13). *)
+      Sigkit.Workspace.trim ws ~slot:10 ~len:n;
       let input =
-        Sigkit.Workspace.filled (Sigkit.Workspace.get ()) ~slot:11 ~len:n
-          ~tag:(Printf.sprintf "%h:%h:%h:%h" p_dbm f1 f2 fs)
+        Sigkit.Workspace.filled ws ~slot:11 ~len:n ~tag
           ~fill:(Sigkit.Waveform.two_tone_dbm_into ~p_dbm ~f1 ~f2 ~fs)
       in
-      Sfdr.of_bandpass ~fs ~f1 ~f2 ~osr (Rfchain.Receiver.modulate t.rx ~analog:config ~input ()))
+      Sfdr.of_bandpass ~fs ~f1 ~f2 ~osr
+        (Rfchain.Receiver.modulate t.rx ~analog:config ~stimulus:(Two_tone tag) ~input ()))
 
 let full t config =
   {

@@ -30,12 +30,17 @@ let cic ~r x =
     let acc = Array.make cic_order 0.0 in
     let decimated = Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:cic_slot ~len:n_out in
     let out_idx = ref 0 in
+    (* Samples left until the next output (every [r]-th), counted down
+       so the loop divides nothing. *)
+    let countdown = ref r in
     for i = 0 to (n_out * r) - 1 do
       acc.(0) <- acc.(0) +. x.(i);
       for s = 1 to cic_order - 1 do
         acc.(s) <- acc.(s) +. acc.(s - 1)
       done;
-      if (i + 1) mod r = 0 then begin
+      decr countdown;
+      if !countdown = 0 then begin
+        countdown := r;
         decimated.(!out_idx) <- acc.(cic_order - 1);
         incr out_idx
       end
@@ -129,4 +134,9 @@ let decimate c x =
   let mid = cic ~r:(r / 2) x in
   if c.compensator then fir_decimate2 mid else average_decimate2 mid
 
-let run_iq c (i_ch, q_ch) = (decimate c i_ch, decimate c q_ch)
+(* The [decimator.run] span, built only when spans record: off, it is
+   one flag load and a branch. *)
+let run_iq c (i_ch, q_ch) =
+  if Telemetry.Control.enabled () then
+    Telemetry.Span.with_ ~name:"decimator.run" (fun () -> (decimate c i_ch, decimate c q_ch))
+  else (decimate c i_ch, decimate c q_ch)

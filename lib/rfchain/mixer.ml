@@ -2,7 +2,7 @@
    the mix and writes both channels at every index: the allocating
    wrapper relied on Array.make zeroing the idle channel, but a reused
    scratch buffer carries stale data. *)
-let downconvert_into ?(slice = false) src ~pos ~n ~i_out ~q_out =
+let mix ~slice src ~pos ~n ~i_out ~q_out =
   if pos < 0 || pos + n > Array.length src then invalid_arg "Mixer.downconvert_into: bad window";
   if Array.length i_out < n || Array.length q_out < n then
     invalid_arg "Mixer.downconvert_into: output shorter than window";
@@ -24,6 +24,13 @@ let downconvert_into ?(slice = false) src ~pos ~n ~i_out ~q_out =
       Array.unsafe_set i_out k 0.0;
       Array.unsafe_set q_out k x
   done
+
+(* The [mixer.downconvert] span, built only when spans record: off, it
+   is one flag load and a branch. *)
+let downconvert_into ?(slice = false) src ~pos ~n ~i_out ~q_out =
+  if Telemetry.Control.enabled () then
+    Telemetry.Span.with_ ~name:"mixer.downconvert" (fun () -> mix ~slice src ~pos ~n ~i_out ~q_out)
+  else mix ~slice src ~pos ~n ~i_out ~q_out
 
 let downconvert x =
   let n = Array.length x in

@@ -33,92 +33,119 @@ let fixed_cap = 4.3e-12
 (* Trim DACs: 6-bit codes, mid-code = unity. *)
 let trim6 code = 0.52 +. (0.015 *. float_of_int code)
 
-let tank_of_codes chip ~prefix ~fs ~coarse ~fine =
-  let arrays name bits unit =
-    Circuit.Cap_array.create chip ~name:(prefix ^ "." ^ name) ~bits ~unit_cap:unit
-      ~mismatch_sigma_pct:1.0
-  in
-  let c_coarse = arrays "cc" 8 coarse_unit in
-  let c_fine = arrays "cf" 8 fine_unit in
-  let c_fixed =
-    Circuit.Process.parameter chip ~name:(prefix ^ ".cfixed") ~nominal:fixed_cap ~sigma_pct:5.0
-  in
-  let l = Circuit.Process.parameter chip ~name:(prefix ^ ".L") ~nominal:l_nominal ~sigma_pct:8.0 in
-  let c =
-    c_fixed
-    +. Circuit.Cap_array.capacitance c_coarse coarse
-    +. Circuit.Cap_array.capacitance c_fine fine
-  in
-  { theta = Circuit.Resonator.theta_of_lc ~l ~c ~fs; l_henry = l; c_farad = c }
-
-let pole_radius_of_code chip code =
-  let base = Circuit.Process.parameter chip ~name:"sdm.r_base" ~nominal:0.968 ~sigma_pct:0.4 in
-  let slope = Circuit.Process.parameter chip ~name:"sdm.r_slope" ~nominal:1.05e-3 ~sigma_pct:3.0 in
-  base +. (slope *. float_of_int code)
+(* The die's configuration-independent process draws at one sampling
+   rate: everything [of_draws] needs besides the word.  Each field is
+   one named [Process] draw (or a pure function of one), so splitting
+   [create] at this boundary is bit-identical. *)
+type draws = {
+  d_chip : Circuit.Process.chip;
+  d_fs : float;
+  c_coarse : Circuit.Cap_array.t;  (* tank 1 coarse array *)
+  c_fine : Circuit.Cap_array.t;    (* tank 1 fine array *)
+  c_fixed : float;
+  l1 : float;
+  tank2_dl : float;                (* tank 2 relative offsets from tank 1 *)
+  tank2_dc : float;
+  gmin_nom : float;
+  gmin_sweet : int;
+  gdac_nom : float;
+  dac_mismatch_raw : float;
+  comp_offset_raw : float;
+  comp_noise : float;
+  comp_sweet : int;
+  delay_code : int;                (* required loop-delay code at [d_fs] *)
+  input_noise : float;
+  r_base : float;
+  r_slope : float;
+}
 
 let required_delay_code chip ~fs =
   let skew = Circuit.Process.offset chip ~name:"sdm.delay_skew" ~sigma:1.5 in
   let code = Float.round (4.0 +. (4.0 *. fs /. 12e9) +. skew) in
   max 0 (min 15 (int_of_float code))
 
-let create chip ~fs (config : Config.t) =
-  let tank1 = tank_of_codes chip ~prefix:"sdm.tank1" ~fs ~coarse:config.cap_coarse ~fine:config.cap_fine in
-  (* The two tanks sit side by side on-die and share the tuning codes;
-     they track each other to local-mismatch accuracy (~0.3%), not to
-     the global-corner accuracy of independent draws. *)
-  let tank2 =
-    let dl = Circuit.Process.offset chip ~name:"sdm.tank2.dl" ~sigma:0.003 in
-    let dc = Circuit.Process.offset chip ~name:"sdm.tank2.dc" ~sigma:0.003 in
-    let l = tank1.l_henry *. (1.0 +. dl) and c = tank1.c_farad *. (1.0 +. dc) in
+(* A per-die bias optimum in [8, 56], the transconductor's and the
+   comparator's. *)
+let sweet_spot chip ~name ~sigma =
+  let d = Circuit.Process.offset chip ~name ~sigma in
+  max 8 (min 56 (32 + int_of_float (Float.round d)))
+
+let draws chip ~fs =
+  let prefix = "sdm.tank1" in
+  let arrays name bits unit =
+    Circuit.Cap_array.create chip ~name:(prefix ^ "." ^ name) ~bits ~unit_cap:unit
+      ~mismatch_sigma_pct:1.0
+  in
+  {
+    d_chip = chip;
+    d_fs = fs;
+    c_coarse = arrays "cc" 8 coarse_unit;
+    c_fine = arrays "cf" 8 fine_unit;
+    c_fixed =
+      Circuit.Process.parameter chip ~name:(prefix ^ ".cfixed") ~nominal:fixed_cap ~sigma_pct:5.0;
+    l1 = Circuit.Process.parameter chip ~name:(prefix ^ ".L") ~nominal:l_nominal ~sigma_pct:8.0;
+    (* The two tanks sit side by side on-die and share the tuning
+       codes; they track each other to local-mismatch accuracy (~0.3%),
+       not to the global-corner accuracy of independent draws. *)
+    tank2_dl = Circuit.Process.offset chip ~name:"sdm.tank2.dl" ~sigma:0.003;
+    tank2_dc = Circuit.Process.offset chip ~name:"sdm.tank2.dc" ~sigma:0.003;
+    gmin_nom = Circuit.Process.parameter chip ~name:"sdm.gmin" ~nominal:1.0 ~sigma_pct:5.0;
+    (* The transconductor's linearity peaks at a per-die bias sweet spot. *)
+    gmin_sweet = sweet_spot chip ~name:"sdm.gmin_sweet" ~sigma:3.0;
+    gdac_nom = Circuit.Process.parameter chip ~name:"sdm.gdac" ~nominal:1.0 ~sigma_pct:5.0;
+    dac_mismatch_raw = Circuit.Process.offset chip ~name:"sdm.dac_mismatch" ~sigma:0.0015;
+    comp_offset_raw = Circuit.Process.offset chip ~name:"sdm.comp_offset" ~sigma:0.03;
+    comp_noise =
+      Circuit.Process.parameter chip ~name:"sdm.comp_noise" ~nominal:0.004 ~sigma_pct:10.0;
+    (* Regeneration strength peaks at a per-die comparator bias; away
+       from it the dead zone widens and injects in-band noise. *)
+    comp_sweet = sweet_spot chip ~name:"sdm.comp_sweet" ~sigma:4.0;
+    delay_code = required_delay_code chip ~fs;
+    input_noise =
+      Circuit.Process.parameter chip ~name:"sdm.input_noise" ~nominal:0.0105 ~sigma_pct:8.0;
+    r_base = Circuit.Process.parameter chip ~name:"sdm.r_base" ~nominal:0.968 ~sigma_pct:0.4;
+    r_slope = Circuit.Process.parameter chip ~name:"sdm.r_slope" ~nominal:1.05e-3 ~sigma_pct:3.0;
+  }
+
+let of_draws d (config : Config.t) =
+  let fs = d.d_fs in
+  let tank1 =
+    let l = d.l1 in
+    let c =
+      d.c_fixed
+      +. Circuit.Cap_array.capacitance d.c_coarse config.cap_coarse
+      +. Circuit.Cap_array.capacitance d.c_fine config.cap_fine
+    in
     { theta = Circuit.Resonator.theta_of_lc ~l ~c ~fs; l_henry = l; c_farad = c }
   in
-  let gmin_nom = Circuit.Process.parameter chip ~name:"sdm.gmin" ~nominal:1.0 ~sigma_pct:5.0 in
-  let gmin = gmin_nom *. trim6 config.gmin_bias in
-  (* The transconductor's linearity peaks at a per-die bias sweet spot. *)
-  let gmin_sweet =
-    let d = Circuit.Process.offset chip ~name:"sdm.gmin_sweet" ~sigma:3.0 in
-    max 8 (min 56 (32 + int_of_float (Float.round d)))
+  let tank2 =
+    let l = tank1.l_henry *. (1.0 +. d.tank2_dl) and c = tank1.c_farad *. (1.0 +. d.tank2_dc) in
+    { theta = Circuit.Resonator.theta_of_lc ~l ~c ~fs; l_henry = l; c_farad = c }
   in
-  let gmin_iip3 = 16.0 -. (0.4 *. float_of_int (abs (config.gmin_bias - gmin_sweet))) in
-  let gdac_nom = Circuit.Process.parameter chip ~name:"sdm.gdac" ~nominal:1.0 ~sigma_pct:5.0 in
-  let gdac = gdac_nom *. trim6 config.dac_bias in
-  let dac_mismatch =
-    Circuit.Process.offset chip ~name:"sdm.dac_mismatch" ~sigma:0.0015
-    -. (float_of_int (config.dac_trim - 2) *. 0.001)
-  in
+  let gmin = d.gmin_nom *. trim6 config.gmin_bias in
+  let gmin_iip3 = 16.0 -. (0.4 *. float_of_int (abs (config.gmin_bias - d.gmin_sweet))) in
+  let gdac = d.gdac_nom *. trim6 config.dac_bias in
+  let dac_mismatch = d.dac_mismatch_raw -. (float_of_int (config.dac_trim - 2) *. 0.001) in
   let preamp_gain = 0.2 +. (0.05 *. float_of_int config.preamp_bias) in
-  let comp_offset_raw = Circuit.Process.offset chip ~name:"sdm.comp_offset" ~sigma:0.03 in
   let comp_offset =
-    comp_offset_raw
+    d.comp_offset_raw
     -. (float_of_int (config.comp_bias - 32) *. 0.002)
     -. (float_of_int (config.preamp_trim - 2) *. 0.004)
   in
-  let comp_noise_sigma =
-    Circuit.Process.parameter chip ~name:"sdm.comp_noise" ~nominal:0.004 ~sigma_pct:10.0
+  let comp_hysteresis =
+    0.0003 +. (0.002 *. float_of_int (abs (config.comp_bias - d.comp_sweet)))
   in
-  (* Regeneration strength peaks at a per-die comparator bias; away from
-     it the dead zone widens and injects in-band noise. *)
-  let comp_sweet =
-    let d = Circuit.Process.offset chip ~name:"sdm.comp_sweet" ~sigma:4.0 in
-    max 8 (min 56 (32 + int_of_float (Float.round d)))
-  in
-  let comp_hysteresis = 0.0003 +. (0.002 *. float_of_int (abs (config.comp_bias - comp_sweet))) in
-  let delay_samples =
-    0.25 *. Float.abs (float_of_int (config.loop_delay - required_delay_code chip ~fs))
-  in
-  let input_noise_sigma =
-    Circuit.Process.parameter chip ~name:"sdm.input_noise" ~nominal:0.0105 ~sigma_pct:8.0
-  in
+  let delay_samples = 0.25 *. Float.abs (float_of_int (config.loop_delay - d.delay_code)) in
   let buffer_gain =
     if config.cal_buffer_enable then 0.88 +. (0.04 *. float_of_int config.out_buffer) else 1.0
   in
   {
-    chip;
+    chip = d.d_chip;
     fs;
     config;
     tank1;
     tank2;
-    r = pole_radius_of_code chip config.gm_q;
+    r = d.r_base +. (d.r_slope *. float_of_int config.gm_q);
     gmin;
     gmin_stage = Circuit.Nonlinear.create ~gain:1.0 ~iip3_dbm:gmin_iip3 ~rail:1.5 ();
     gdac;
@@ -126,11 +153,13 @@ let create chip ~fs (config : Config.t) =
     preamp_gain;
     comp_offset;
     comp_hysteresis;
-    comp_noise_sigma;
+    comp_noise_sigma = d.comp_noise;
     delay_samples;
-    input_noise_sigma;
+    input_noise_sigma = d.input_noise;
     buffer_gain;
   }
+
+let create chip ~fs config = of_draws (draws chip ~fs) config
 
 let tank_frequency t = 1.0 /. (2.0 *. Float.pi *. sqrt (t.tank1.l_henry *. t.tank1.c_farad))
 let pole_radius t = t.r

@@ -28,7 +28,26 @@ type t
 
 val create : Circuit.Process.chip -> fs:float -> Config.t -> t
 (** Instantiate the modulator of one die at sampling rate [fs] under a
-    configuration word.  Cheap; all heavy work is in {!run}. *)
+    configuration word: [of_draws (draws chip ~fs) config].  Makes the
+    die's 33 named process draws afresh on every call; a caller that
+    instantiates one die under many words should keep the {!draws} and
+    use {!of_draws}, as {!Receiver} does. *)
+
+type draws
+(** The die's configuration-independent process draws at one sampling
+    rate: the tank-1 capacitor arrays, fixed capacitor and inductor,
+    the tank-2 offsets, the gm/DAC/comparator/input-noise parameters,
+    the per-die bias sweet spots, the required loop-delay code and the
+    Q-enhancement base and slope.  Immutable. *)
+
+val draws : Circuit.Process.chip -> fs:float -> draws
+(** Make the die's draws.  Each is a pure function of the chip and its
+    parameter name, so the result is a pure function of [(chip, fs)]. *)
+
+val of_draws : draws -> Config.t -> t
+(** The modulator under one word: per-word arithmetic on the draws, no
+    process draw.  [of_draws (draws chip ~fs) config] is structurally
+    equal to [create chip ~fs config], field for field. *)
 
 val run : t -> float array -> float array
 (** Simulate sample by sample.  Input is the (post-VGLNA) analog record;

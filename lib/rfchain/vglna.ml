@@ -1,13 +1,15 @@
 (* Per-code hot-path setup, derived once from the chip's (pure) process
    draws on first use: the amplifier's polynomial, the noise stream's
-   name and per-sample sigma.  Memoising is bit-identical because every
-   Process draw is a pure function of (chip, name), and it hoists the
-   Printf name construction, the Nonlinear/Noise_source setup and their
-   process draws out of every run. *)
+   name and per-sample sigma, and the tag naming all three.  Memoising
+   is bit-identical because every Process draw is a pure function of
+   (chip, name), and it hoists the Printf name construction, the
+   Nonlinear/Noise_source setup and their process draws out of every
+   run. *)
 type setup = {
   stage : Circuit.Nonlinear.t;
   noise_name : string;
   noise_sigma : float;
+  tag : string;
 }
 
 type t = {
@@ -63,16 +65,27 @@ let setup t ~code =
   | None ->
     let gain = Sigkit.Decibel.power_ratio_of_db (gain_db t ~code /. 2.0) in
     (* power_ratio_of_db(g/2) = 10^(g/20): voltage gain. *)
-    let s =
-      {
-        stage = Circuit.Nonlinear.create ~gain ~iip3_dbm:(iip3_dbm t ~code) ~rail:1.4 ();
-        noise_name = Printf.sprintf "vglna.noise%d" code;
-        noise_sigma =
-          Circuit.Noise_source.sigma_of_noise_figure ~nf_db:(noise_figure_db t ~code) ~fs:t.fs;
-      }
+    let stage = Circuit.Nonlinear.create ~gain ~iip3_dbm:(iip3_dbm t ~code) ~rail:1.4 () in
+    let noise_name = Printf.sprintf "vglna.noise%d" code in
+    let noise_sigma =
+      Circuit.Noise_source.sigma_of_noise_figure ~nf_db:(noise_figure_db t ~code) ~fs:t.fs
     in
+    (* Everything [run_inplace] does to a record besides its length:
+       the noise batch, a function of (seed, stream name)
+       ([Process.noise_batch]), and the arithmetic, a function of sigma
+       and the polynomial.  Floats in exact hex. *)
+    let a1, a2, a3, rail = Circuit.Nonlinear.coefficients stage in
+    let tag =
+      Printf.sprintf "%d:%s:%h:%h:%h:%h:%h" (Circuit.Process.seed t.chip) noise_name noise_sigma
+        a1 a2 a3 rail
+    in
+    let s = { stage; noise_name; noise_sigma; tag } in
     t.setups.(code) <- Some s;
     s
+
+let tag t ~code =
+  check_code code;
+  (setup t ~code).tag
 
 (* Workspace slot for the batched noise draw (see DESIGN §15). *)
 let noise_slot = 13

@@ -9,6 +9,10 @@
 type t
 
 val create : Circuit.Process.chip -> fs:float -> t
+(** Draws the die's 16 gain errors at once; each code's noise figure,
+    IIP3 and noise set-up are drawn on the code's first use and kept in
+    the value, so a [t] reused across runs of one die draws each only
+    once ({!Receiver.create} keeps one per domain and die). *)
 
 val gain_db : t -> code:int -> float
 (** Realised (per-chip) gain in dB for a code in [0, 15]. *)
@@ -42,3 +46,16 @@ val run_inplace : t -> code:int -> float array -> unit
     {!Sigkit.Workspace} slot 13 through {!Circuit.Process.noise_batch},
     so consecutive runs of one die at one code and length draw it only
     once; bit-identical to {!run}. *)
+
+val noise_slot : int
+(** The {!Sigkit.Workspace} slot {!run_inplace} keeps its noise batch
+    in (13). *)
+
+val tag : t -> code:int -> string
+(** A string naming everything {!run_inplace} adds to a record at
+    [code] on this die, besides the record's length: the die's seed and
+    the noise stream's name (which fix the noise batch), the noise
+    sigma and the stage polynomial and rail (floats in exact hex).  Two
+    runs whose tags, input records and lengths are equal write equal
+    outputs, also across {!create} calls and chip variants (aged,
+    drifted, biased, rescaled) of one die.  Computed once per code. *)

@@ -46,6 +46,13 @@ let filled t ~slot ~len ~tag ~fill =
     Array.unsafe_set t.tags slot (Some tag);
     a
 
+let trim t ~slot ~len =
+  check ~slot ~len;
+  if Array.length (Array.unsafe_get t.slots slot) <> len then begin
+    Array.unsafe_set t.slots slot [||];
+    Array.unsafe_set t.tags slot None
+  end
+
 let release () =
   let t = get () in
   Array.fill t.slots 0 16 [||];

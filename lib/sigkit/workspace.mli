@@ -34,11 +34,12 @@
     Slot discipline (keeps concurrent users of one domain apart; the
     full map and per-stage liveness argument are in DESIGN §15):
     0-1 [Fft] convenience wrappers, 2-5 [Spectrum],
-    6-13 the evaluation chain (6 settle-extended record,
-    7 modulator output, 8-9 [Sdm] noise batches (tagged),
-    10-11 [Metrics.Measure] single-tone and two-tone stimuli (tagged),
-    12 [Decimator] CIC intermediate, 13 [Vglna] noise batch (tagged)),
-    14 free for callers, 15 tests. *)
+    6-14 the evaluation chain (6 settle-extended, VGLNA-conditioned
+    record (tagged for a named stimulus), 7 modulator output, 8-9
+    [Sdm] noise batches (tagged), 10-11 [Metrics.Measure] single-tone
+    and two-tone stimuli (tagged), 12 [Decimator] CIC intermediate,
+    13 [Vglna] noise batch (tagged), 14 the conditioned two-tone record
+    (tagged)), 15 tests. *)
 
 type t
 
@@ -64,6 +65,13 @@ val filled :
     that raises leaves the slot untagged.  Callers must treat the
     array as read-only: a write would leave the tag naming contents
     the slot no longer holds. *)
+
+val trim : t -> slot:int -> len:int -> unit
+(** [trim t ~slot ~len] drops [slot]'s array, and its tag, unless its
+    length is [len].  For a caller that skips a slot's usual writer and
+    knows the slot's next request is at [len]: a request at any other
+    length would replace the array anyway, so dropping it now only ends
+    its retention early. *)
 
 val release : unit -> unit
 (** Drop every slot's array of the calling domain's workspace.  The

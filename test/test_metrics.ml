@@ -244,7 +244,9 @@ let test_measure_matches_receiver_run () =
 (* Retention: a long capture's scratch is dropped by the next short
    eval.  Short evals rewrite every slot the long one grew except the
    CIC intermediate (slot 12), whose length is the capture's
-   n / (decimation ratio / 2). *)
+   n / (decimation ratio / 2).  That holds for an SFDR eval too (the
+   order a calibration ends a die with), although its two-tone memo
+   hit runs no VGLNA and so writes neither slot 6 nor slot 13. *)
 let test_measure_scratch_retention () =
   let rx =
     Rfchain.Receiver.create (Circuit.Process.fabricate ~seed:9 ()) Rfchain.Standards.max_frequency
@@ -263,8 +265,166 @@ let test_measure_scratch_retention () =
   if long - short < 6 * (n - Metrics.Snr.default_fft_points - 1024) then
     Alcotest.failf "the long capture was not held while current (%d -> %d)" short long;
   ignore (Metrics.Measure.snr_mod_db bench config);
-  Alcotest.(check int) "back at the short-eval footprint" (short + (n / (ratio / 2)))
+  let cic = n / (ratio / 2) in
+  Alcotest.(check int) "back at the short-eval footprint" (short + cic)
+    (Sigkit.Workspace.footprint ws);
+  ignore (Metrics.Measure.snr_rx_db ~n_fft:2048 bench config);
+  ignore (Metrics.Measure.sfdr_db bench config);
+  let after_sfdr = Sigkit.Workspace.footprint ws in
+  if after_sfdr > short + cic then
+    Alcotest.failf "an SFDR eval kept the long capture (%d floats, short-eval footprint %d)"
+      after_sfdr (short + cic);
+  ignore (Metrics.Measure.snr_mod_db bench config);
+  Alcotest.(check int) "short-eval footprint after SFDR" (short + cic)
     (Sigkit.Workspace.footprint ws)
+
+(* The front-end memo (DESIGN §15): a named stimulus's settle-extended,
+   VGLNA-conditioned record is kept in tagged slot 6 (tone, long
+   capture) or 14 (two-tone), and each die's VGLNA and modulator draws
+   in a per-domain memo keyed on the chip value.  Random interleavings
+   on one domain of die variants, gain codes, stimulus kinds and settle
+   lengths must measure exactly what the untagged path does.  The die
+   pool holds the cases a tag could confuse: same-seed variants whose
+   VGLNA differs only in its polynomial (the offset bias) or in its
+   noise sigma (age, drift, lot sigma scale), and two ideal-process
+   dies whose VGLNAs differ only in their noise streams' seed. *)
+module Front_memo = struct
+  let std = Rfchain.Standards.max_frequency
+  let fab ?lot_sigma_scale seed = Circuit.Process.fabricate ?lot_sigma_scale ~seed ()
+  let codes = [| 9; 14 |]
+
+  let dies =
+    let plain = fab 9 in
+    [|
+      plain;
+      Circuit.Process.with_offset_bias
+        (Circuit.Process.with_offset_bias plain ~name:"vglna.gain9" ~bias:0.3)
+        ~name:"vglna.iip314" ~bias:0.4;
+      fab ~lot_sigma_scale:0.0 9;
+      fab ~lot_sigma_scale:0.0 23;
+      Circuit.Process.age plain ~hours:3000.0;
+      Circuit.Process.environment plain ~drift:0.01;
+      fab ~lot_sigma_scale:0.5 9;
+    |]
+
+  (* The first four dies are the confusable pairs: drawn three times as
+     often as the others. *)
+  let die_gen = QCheck.Gen.frequencyl [ (3, 0); (3, 1); (3, 2); (3, 3); (1, 4); (1, 5); (1, 6) ]
+
+  type step =
+    | Measure of string  (* one of the five measurements *)
+    | Direct of { two_tone : bool; settle : int }  (* Receiver.modulate on a short named record *)
+
+  let step_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, return (Measure "Snr_mod"));
+          (1, return (Measure "Snr_mod_verified"));
+          (1, return (Measure "Snr_rx"));
+          (2, return (Measure "Sfdr"));
+          (1, return (Measure "Full"));
+          ( 3,
+            map2
+              (fun two_tone settle -> Direct { two_tone; settle })
+              bool (oneofl [ 0; 256; 1024; 1500 ]) );
+        ])
+
+  (* A word: a gain code, and whether the comparator is clocked.  The
+     clocked loop's 1-bit output hides the VGLNA's input-referred noise
+     (~60 uV): two records that differ only in their noise draws
+     usually give the same bitstream.  Unclocked, the comparator buffers
+     its input to the output, so every sample of the record shows. *)
+  let word_gen = QCheck.Gen.(pair (int_bound 1) bool)
+
+  (* Each die's most confusable partner: the same seed with only the
+     polynomial changed, the other ideal-process seed, or the plain die
+     for the variants. *)
+  let twin = [| 1; 0; 3; 2; 0; 0; 0 |]
+
+  (* Ten steps, each followed half the time by the same step on the
+     die's twin, so a tag that misses a dependency meets the record it
+     would confuse. *)
+  let case_gen =
+    QCheck.Gen.(
+      map List.concat
+        (list_size (return 10)
+           (map2
+              (fun ((d, w, s) as step) twinned ->
+                if twinned then [ step; (twin.(d), w, s) ] else [ step ])
+              (triple die_gen word_gen step_gen) bool)))
+
+  let print_case =
+    let step = function
+      | Measure m -> m
+      | Direct { two_tone; settle } ->
+        Printf.sprintf "%s/settle=%d" (if two_tone then "two-tone" else "tone") settle
+    in
+    QCheck.Print.list (fun (d, (c, clocked), s) ->
+        Printf.sprintf "die%d code%d%s %s" d codes.(c)
+          (if clocked then "" else " unclocked")
+          (step s))
+
+  (* The short named records of the direct steps. *)
+  let n_direct = 1024
+  let fs = Rfchain.Standards.fs std
+  let tone = Sigkit.Waveform.tone_dbm ~p_dbm:(-25.0) ~freq:3.02e9 ~fs n_direct
+  let two_tone = Sigkit.Waveform.two_tone_dbm ~p_dbm:(-25.0) ~f1:3.01e9 ~f2:3.03e9 ~fs n_direct
+
+  let config (c, clocked) =
+    { Rfchain.Config.nominal with vglna_gain = codes.(c); comp_clock_enable = clocked }
+
+  (* Every step on a receiver created for it, as the engine does. *)
+  let measured (d, c, step) =
+    let rx = Rfchain.Receiver.create dies.(d) std in
+    let m = Metrics.Measure.create rx and config = config c in
+    match step with
+    | Measure "Snr_mod" -> [ Metrics.Measure.snr_mod_db m config ]
+    | Measure "Snr_mod_verified" -> [ Metrics.Measure.snr_mod_verified_db m config ]
+    | Measure "Snr_rx" -> [ Metrics.Measure.snr_rx_db m config ]
+    | Measure "Sfdr" -> [ Metrics.Measure.sfdr_db m config ]
+    | Measure _ ->
+      let r = Metrics.Measure.full m config in
+      [ r.snr_mod_db; r.snr_rx_db; Option.get r.sfdr_db ]
+    | Direct { two_tone = tt; settle } ->
+      let stimulus, input =
+        if tt then (Rfchain.Receiver.Two_tone "two-tone", two_tone)
+        else (Rfchain.Receiver.Tone "tone", tone)
+      in
+      let bits = Rfchain.Receiver.modulate rx ~analog:config ~settle ~stimulus ~input () in
+      Array.to_list (Array.sub bits settle n_direct)
+
+  (* A receiver for a die of its own first evicts the draw memo, so the
+     reference draws afresh whatever the memo is keyed on. *)
+  let evict = fab 424242
+
+  let reference (d, c, step) =
+    ignore (Rfchain.Receiver.create evict std);
+    let rx = Rfchain.Receiver.create dies.(d) std and config = config c in
+    match step with
+    | Measure "Snr_mod" -> [ Reference.snr_mod rx config ]
+    | Measure "Snr_mod_verified" -> [ Reference.snr_mod_verified rx config ]
+    | Measure "Snr_rx" -> [ Reference.snr_rx rx config ]
+    | Measure "Sfdr" -> [ Reference.sfdr rx config ]
+    | Measure _ ->
+      [ Reference.snr_mod rx config; Reference.snr_rx rx config; Reference.sfdr rx config ]
+    | Direct { two_tone = tt; settle } ->
+      Sigkit.Workspace.release ();
+      let input = if tt then two_tone else tone in
+      Array.to_list (Rfchain.Receiver.run rx ~analog:config ~settle ~input ()).mod_output
+end
+
+let prop_front_memo_identity =
+  QCheck.Test.make ~name:"front-end memo equals the untagged path" ~count:20
+    (QCheck.make Front_memo.case_gen ~print:Front_memo.print_case)
+    (fun schedule ->
+      Sigkit.Workspace.release ();
+      (* Measure everything first, so the tags of one step meet the next. *)
+      let measured = List.map Front_memo.measured schedule in
+      let bits = List.map Int64.bits_of_float in
+      List.for_all2
+        (fun step got -> bits got = bits (Front_memo.reference step))
+        schedule measured)
 
 let prop_spec_distance_nonneg =
   QCheck.Test.make ~name:"spec distance is non-negative" ~count:200
@@ -311,5 +471,7 @@ let () =
           Alcotest.test_case "matches the Receiver.run path" `Quick test_measure_matches_receiver_run;
           Alcotest.test_case "long capture scratch is dropped" `Quick test_measure_scratch_retention;
         ] );
-      ("properties", qcheck [ prop_spec_distance_nonneg; prop_spec_functional_iff_zero ]);
+      ( "properties",
+        qcheck [ prop_spec_distance_nonneg; prop_spec_functional_iff_zero; prop_front_memo_identity ]
+      );
     ]

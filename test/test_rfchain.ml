@@ -416,6 +416,7 @@ let test_arena_slots_distinct () =
       ("tone stimulus (10)", Sigkit.Workspace.arr ws ~slot:10 ~len:n);
       ("two-tone stimulus (11)", Sigkit.Workspace.arr ws ~slot:11 ~len:n);
       ("vglna noise (13)", Sigkit.Workspace.arr ws ~slot:13 ~len:total);
+      ("two-tone front end (14)", Sigkit.Workspace.arr ws ~slot:14 ~len:total);
     ]
   in
   List.iteri
@@ -482,6 +483,60 @@ let prop_noise_batch_identity =
           let batch = Circuit.Process.noise_batch c ~name ~slot:15 ~n in
           Array.length batch = n && batch = fresh c)
         schedule)
+
+(* A receiver with an [rf_fault] hook rebuilds the front end untagged
+   even when the stimulus is named: the tags do not name the hook, so a
+   tagged faulty record would be served to the next healthy eval of the
+   same die, and a tagged healthy one to the next faulty eval.  Each
+   eval below follows one of the other kind under the same stimulus
+   name, and each must equal the reference chain. *)
+let test_fault_front_untagged () =
+  let c = chip ~seed:77 () in
+  let rf_fault input = Array.mapi (fun i x -> x +. (0.05 *. sin (0.37 *. float_of_int i))) input in
+  let faulty = Rfchain.Receiver.create ~rf_fault c std in
+  let healthy = Rfchain.Receiver.create c std in
+  let fs = Rfchain.Receiver.fs healthy in
+  let n = 1024 and settle = 256 in
+  let tone = Sigkit.Waveform.tone_dbm ~p_dbm:(-25.0) ~freq:3.02e9 ~fs n in
+  let two_tone = Sigkit.Waveform.two_tone_dbm ~p_dbm:(-25.0) ~f1:3.01e9 ~f2:3.03e9 ~fs n in
+  let analog = Rfchain.Config.nominal in
+  let run rx stimulus input =
+    Array.sub (Rfchain.Receiver.modulate rx ~analog ~settle ~stimulus ~input ()) settle n
+  in
+  Sigkit.Workspace.release ();
+  let f1 = run faulty (Tone "tone") tone in
+  let h1 = run healthy (Tone "tone") tone in
+  let f1' = run faulty (Tone "tone") tone in
+  let h1' = run healthy (Tone "tone") tone in
+  let f2 = run faulty (Two_tone "two-tone") two_tone in
+  let h2 = run healthy (Two_tone "two-tone") two_tone in
+  let f2' = run faulty (Two_tone "two-tone") two_tone in
+  let m_f1, _, _ = reference_chain faulty ~analog ~settle ~slice:false ~input:tone () in
+  let m_f2, _, _ = reference_chain faulty ~analog ~settle ~slice:false ~input:two_tone () in
+  let m_h1, _, _ = reference_chain healthy ~analog ~settle ~slice:false ~input:tone () in
+  let m_h2, _, _ = reference_chain healthy ~analog ~settle ~slice:false ~input:two_tone () in
+  Alcotest.(check bool) "faulty tone" true (f1 = m_f1 && f1' = m_f1);
+  Alcotest.(check bool) "healthy tone after a faulty one" true (h1 = m_h1 && h1' = m_h1);
+  Alcotest.(check bool) "faulty two-tone" true (f2 = m_f2 && f2' = m_f2);
+  Alcotest.(check bool) "healthy two-tone after a faulty one" true (h2 = m_h2);
+  Alcotest.(check bool) "the fault shows" true (f1 <> m_h1 && f2 <> m_h2)
+
+(* A receiver's modulator comes from the per-domain draw memo; under
+   every word it must equal a modulator built from fresh draws, with
+   two dies alternating on the domain and with an aged copy of one die
+   (same seed, other draws). *)
+let test_sdm_draw_memo () =
+  let a = chip ~seed:31 () and b = chip ~seed:57 () in
+  let aged = Circuit.Process.age a ~hours:4000.0 in
+  let rng = Sigkit.Rng.create 99 in
+  let fs = Rfchain.Standards.fs std in
+  List.iteri
+    (fun i c ->
+      let config = Rfchain.Config.random rng in
+      let memoised = Rfchain.Receiver.sdm_of_config (Rfchain.Receiver.create c std) config in
+      if memoised <> Rfchain.Sdm.create c ~fs config then
+        Alcotest.failf "step %d: memoised modulator differs from fresh draws" i)
+    [ a; b; a; a; aged; a; aged; aged; b; aged ]
 
 (* The fused/generic counter pair: one bump per run, on the loop the
    word selects. *)
@@ -585,6 +640,8 @@ let () =
       ( "arena",
         Alcotest.test_case "slot map is alias-free" `Quick test_arena_slots_distinct
         :: Alcotest.test_case "scratch reuse across evals" `Quick test_arena_reuse_across_evals
+        :: Alcotest.test_case "faulty front end stays untagged" `Quick test_fault_front_untagged
+        :: Alcotest.test_case "modulator draw memo equals fresh draws" `Quick test_sdm_draw_memo
         :: qcheck [ prop_arena_chain_identity; prop_noise_batch_identity ] );
       ("properties", qcheck [ prop_config_roundtrip; prop_config_with_field; prop_mixer_energy ]);
     ]
